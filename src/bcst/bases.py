@@ -7,12 +7,14 @@ same ray, so labels normalize into x in [0, 3].
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .qstate import TOLERANCE, StateVector, ket, tensor
+from . import qstate
+from .qstate import StateVector, ket, tensor
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -80,7 +82,9 @@ class EntangledBasis:
         return len(self.elements)
 
 
+@functools.cache
 def bell_basis() -> EntangledBasis:
+    """The Bell basis; one shared value, built on first use (it is immutable)."""
     return EntangledBasis("bell", 2, tuple(bell(k) for k in BellKind))
 
 
@@ -134,16 +138,13 @@ def validate_orthonormal(states) -> OrthonormalityReport:
     dev = np.abs(b.conj() @ b.T - np.eye(len(states)))
     worst = np.unravel_index(int(np.argmax(dev)), dev.shape)
     max_dev = float(dev[worst])
+    tol = qstate.TOLERANCE
     return OrthonormalityReport(
-        orthonormal=max_dev <= TOLERANCE,
+        orthonormal=max_dev <= tol,
         complete=len(states) == dim,
         max_deviation=max_dev,
-        worst_pair=(int(worst[0]), int(worst[1])) if max_dev > TOLERANCE else None,
+        worst_pair=(int(worst[0]), int(worst[1])) if max_dev > tol else None,
     )
-
-
-_PLUS = StateVector(1, np.array([1, 1]) * _INV_SQRT2)
-_MINUS = StateVector(1, np.array([1, -1]) * _INV_SQRT2)
 
 
 def product_axis_basis(axes: str) -> ControllerBasis:
@@ -161,7 +162,8 @@ def product_axis_basis(axes: str) -> ControllerBasis:
             if axis == "z":
                 parts.append(ket("1" if bit else "0"))
             else:
-                parts.append(_MINUS if bit else _PLUS)
+                sign = -1 if bit else 1
+                parts.append(StateVector(1, np.array([1, sign]) * _INV_SQRT2))
         elements.append(tensor(*parts))
     name = {"z" * l: "computational", "x" * l: "hadamard-product"}.get(
         axes, f"axes:{axes}"

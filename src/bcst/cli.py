@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes are disjoint by failure class: 0 success, 1 parse/input problems,
-2 selection rule violations, 3 intractable census requests, 4 wrong channel
-kind for the subcommand, 5 failed control requirement, 6 unrecognized state.
+Exit codes are disjoint by failure class: 0 success, 1 parse/input problems
+(including `simulate --trials` below 1 and a BCST_TOLERANCE that is not a
+finite positive number), 2 selection rule violations, 3 intractable census
+requests, 4 wrong channel kind for the subcommand, 5 failed control
+requirement, 6 unrecognized state.
 Every subcommand is deterministic given --seed.
 """
 from __future__ import annotations
@@ -150,6 +152,8 @@ def _parse_payload(text: str) -> StateVector:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        return _fail(EXIT_INPUT, f"--trials must be at least 1, got {args.trials}")
     try:
         spec, _ = specdoc.load_spec_document(args.spec_file)
     except (OSError, specdoc.SpecDocumentError) as exc:
@@ -270,6 +274,10 @@ def cmd_recognize(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        qstate.TOLERANCE  # read BCST_TOLERANCE now, whatever the subcommand
+    except ValueError as exc:
+        return _fail(EXIT_INPUT, str(exc))
     handler = {
         "build": cmd_build,
         "census": cmd_census,

@@ -4,19 +4,43 @@ Conventions used everywhere in this package: the basis label |q1 q2 ... qN>
 maps to the integer index whose most significant bit is q1, so kets read left
 to right and qubit positions are 0-based from the left.  States and density
 matrices are immutable values; every operation returns a new object.  All
-approximate comparisons share a single tolerance, overridable through the
-BCST_TOLERANCE environment variable.
+approximate comparisons share a single tolerance, TOLERANCE, overridable
+through the BCST_TOLERANCE environment variable.  It is read on first use, so
+a malformed value fails the first check that needs it (and the CLI up front)
+rather than `import bcst`.
 """
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-TOLERANCE = float(os.environ.get("BCST_TOLERANCE", "1e-12"))
 MAX_QUBITS = 12
+
+
+@functools.cache
+def _tolerance() -> float:
+    """BCST_TOLERANCE (default 1e-12); ValueError unless finite and positive."""
+    text = os.environ.get("BCST_TOLERANCE", "1e-12")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"BCST_TOLERANCE must be a finite positive number, got {text!r}"
+        )
+    return value
+
+
+def __getattr__(name: str):
+    if name == "TOLERANCE":
+        return _tolerance()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -41,7 +65,7 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, got {amps.size}"
             )
-        if abs(np.vdot(amps, amps).real - 1.0) > TOLERANCE:
+        if abs(np.vdot(amps, amps).real - 1.0) > _tolerance():
             raise ValueError("amplitudes are not normalized")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -62,9 +86,9 @@ class DensityMatrix:
         d = 1 << self.num_qubits
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > TOLERANCE:
+        if np.max(np.abs(m - m.conj().T)) > _tolerance():
             raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TOLERANCE:
+        if abs(np.trace(m).real - 1.0) > _tolerance():
             raise ValueError("trace is not 1")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -116,7 +140,7 @@ def tensor(*states: StateVector) -> StateVector:
         raise ValueError("tensor of nothing")
     amps = states[0].amplitudes
     for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
+        amps = np.outer(amps, s.amplitudes).reshape(-1)
     return StateVector(sum(s.num_qubits for s in states), amps)
 
 
@@ -136,12 +160,8 @@ def apply_unitary(state: StateVector, u, targets: Sequence[int]) -> StateVector:
         raise ValueError(f"operator shape {u.shape} does not act on {k} qubits")
     if np.max(np.abs(u @ u.conj().T - np.eye(1 << k))) > 1e-10:
         raise ValueError("operator is not unitary")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, t, range(k))
-    psi = (u @ psi.reshape(1 << k, -1)).reshape([2] * n)
-    psi = np.moveaxis(psi, range(k), t)
-    return StateVector(n, psi.reshape(-1))
+    mat, _ = _project_matrix(state, t)
+    return StateVector(state.num_qubits, _unproject(u @ mat, t))
 
 
 def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
@@ -153,12 +173,29 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(state.num_qubits, psi.reshape(-1))
 
 
+@functools.lru_cache(maxsize=256)
+def _axis_order(
+    n: int, targets: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order moving the targets to the front (the rest keep their
+    order) and its inverse, which puts every qubit back."""
+    order = targets + tuple(q for q in range(n) if q not in targets)
+    return order, tuple(order.index(q) for q in range(n))
+
+
 def _project_matrix(state: StateVector, targets: tuple[int, ...]):
     """Amplitudes as a (target block) x (rest block) matrix, plus rest count."""
     n, k = state.num_qubits, len(targets)
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, targets, range(k))
+    order, _ = _axis_order(n, targets)
+    psi = state.amplitudes.reshape([2] * n).transpose(order)
     return psi.reshape(1 << k, -1), n - k
+
+
+def _unproject(mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _project_matrix: flat amplitudes in register order."""
+    n = mat.size.bit_length() - 1
+    _, inverse = _axis_order(n, targets)
+    return mat.reshape([2] * n).transpose(inverse).reshape(-1)
 
 
 def project_onto(
@@ -178,10 +215,8 @@ def project_onto(
     if prob < 1e-15:
         return prob, None
     resid = resid / np.sqrt(prob)
-    n, k = state.num_qubits, len(t)
-    full = np.outer(element.amplitudes, resid).reshape([2] * n)
-    full = np.moveaxis(full, range(k), t)
-    return prob, StateVector(n, full.reshape(-1))
+    full = np.outer(element.amplitudes, resid)
+    return prob, StateVector(state.num_qubits, _unproject(full, t))
 
 
 def split_factor(
@@ -232,7 +267,7 @@ def measure_in_basis(
     if b.shape[1] != 1 << k:
         raise ValueError("basis element size does not match target count")
     gram = b.conj() @ b.T
-    if np.max(np.abs(gram - np.eye(1 << k))) > TOLERANCE:
+    if np.max(np.abs(gram - np.eye(1 << k))) > _tolerance():
         raise ValueError("basis is not orthonormal")
     mat, _ = _project_matrix(state, t)
     resid = b.conj() @ mat  # row k = unnormalized residual for outcome k
@@ -240,10 +275,8 @@ def measure_in_basis(
     idx = int(rng.choice(len(basis), p=probs / probs.sum()))
     prob = float(probs[idx])
     r = resid[idx] / np.sqrt(prob)
-    n = state.num_qubits
-    full = np.outer(b[idx], r).reshape([2] * n)
-    full = np.moveaxis(full, range(k), t)
-    return idx, prob, StateVector(n, full.reshape(-1))
+    full = np.outer(b[idx], r)
+    return idx, prob, StateVector(state.num_qubits, _unproject(full, t))
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:

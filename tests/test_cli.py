@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bcst import qstate
 from bcst.cli import (
     EXIT_CONTROL,
     EXIT_INPUT,
@@ -14,7 +19,7 @@ from bcst.cli import (
     EXIT_WRONG_KIND,
     main,
 )
-from bcst.catalog import entry, reconstruct
+from bcst.catalog import catalog_entries, entry, reconstruct
 from bcst.qstate import fidelity_up_to_phase, random_state
 from bcst.specdoc import (
     parse_spec_document,
@@ -136,6 +141,104 @@ def test_simulate_fixed_payloads(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", str(spec_file), "--trials", "3",
                            "--alice-state", "1,0,0,0", "--bob-state", "0,0,1,0")
     assert code == EXIT_OK
+
+
+# transcript sha256 of `simulate <entry> --seed 42 --trials 25`, recorded
+# before the per-spec memo and the one-transpose kernels went in
+GOLDEN_TRANSCRIPTS = {
+    "zha5": "d37a5572fc39496306b03722c093f6bb1ba215b35f514ac94f8cddacf5388d8f",
+    "zha_ii5": "4bb92f8002fe1015751227b0f64a988d479b815b1984071347a970967add5a6b",
+    "li5": "740515f75d80abac87e66f22b35d86c6093ed8c7474901c0769594332516e53d",
+    "cqsdc5": "b6e0eb82e53a3cc62aa4ab0056393b83dddcf5b10a8f4d5ef9a9dca06581f732",
+    "six1": "7e2182005fa06876791364d7cd0abe58a901579c046655e928cd9cdd05e9dd8d",
+    "six3": "f7138fedfbc2f3bf315158fb726bf82900f7a62692c0fc91d1260479eff3a324",
+    "six4a": "b5edcce9a38e9093d0b1ba2a61040563f27a6add9f32a3d78aa8905a9f4744c8",
+    "six4b": "cc793d4a81b1b707bf194cbb446822c4630477eae650504544d35e0f477987ee",
+    "seven": "3f044d7dff3a507c4ec7d35faba1672b57be5cd8cb3320ea488bfa5cc1d086c6",
+}
+
+
+def simulate_digest(capsys, tmp_path, entry_id, trials):
+    spec_file = tmp_path / f"{entry_id}.json"
+    spec_file.write_text(serialize_spec(entry(entry_id).spec))
+    code, out, _ = run_cli(capsys, "simulate", str(spec_file),
+                           "--seed", "42", "--trials", str(trials))
+    assert code == EXIT_OK
+    prefix = "transcript sha256: "
+    return next(ln for ln in out.splitlines() if ln.startswith(prefix))[len(prefix):]
+
+
+def test_golden_transcripts_cover_the_catalog():
+    assert sorted(GOLDEN_TRANSCRIPTS) == sorted(e.id for e in catalog_entries())
+
+
+@pytest.mark.parametrize("entry_id", sorted(GOLDEN_TRANSCRIPTS))
+def test_simulate_golden_transcript(tmp_path, capsys, entry_id):
+    assert simulate_digest(capsys, tmp_path, entry_id, 25) == GOLDEN_TRANSCRIPTS[entry_id]
+
+
+def test_simulate_readme_example(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    digest = simulate_digest(capsys, tmp_path, "zha5", 5)
+    assert digest == "d505d097355742301ff01c1fae8b083260bce82c82fbc3157ca0e953bbeeae18"
+    assert f"transcript sha256: {digest}" in readme
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(serialize_spec(entry("zha5").spec))
+    code, out, err = run_cli(capsys, "simulate", str(spec_file), "--trials", trials)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+@pytest.fixture
+def tolerance_env(monkeypatch):
+    """Set BCST_TOLERANCE for one test; the value is re-read on next use."""
+    def set_value(value):
+        monkeypatch.setenv("BCST_TOLERANCE", value)
+        qstate._tolerance.cache_clear()
+    yield set_value
+    monkeypatch.undo()
+    qstate._tolerance.cache_clear()
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "0", "-1e-9", ""])
+def test_invalid_tolerance_fails_every_command(tolerance_env, capsys, value):
+    tolerance_env(value)
+    for argv in (("census", "2", "2", "--formula"), ("catalog", "--export", "zha5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == ("error: BCST_TOLERANCE must be a finite positive number, "
+                       f"got {value!r}\n")
+    with pytest.raises(ValueError, match="BCST_TOLERANCE"):
+        qstate.ket("0")
+
+
+def test_valid_tolerance_is_used(tolerance_env):
+    tolerance_env("1e-12")
+    with pytest.raises(ValueError, match="normalized"):
+        qstate.from_amplitudes([1.0004, 0.0])
+    tolerance_env("1e-3")
+    assert qstate.TOLERANCE == 1e-3
+    assert qstate.from_amplitudes([1.0004, 0.0]).num_qubits == 1
+
+
+def test_invalid_tolerance_exits_without_traceback():
+    # the module reads BCST_TOLERANCE on first use, so `import bcst` survives
+    # and the command reports the bad value in one line
+    paths = [str(Path(__file__).resolve().parent.parent / "src"),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, BCST_TOLERANCE="abc",
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-m", "bcst", "census", "2", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == "error: BCST_TOLERANCE must be a finite positive number, got 'abc'\n"
 
 
 def test_simulate_rejects_dialogue_specs(tmp_path, capsys):

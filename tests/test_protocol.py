@@ -7,6 +7,9 @@ import pytest
 from bcst.bases import BellKind, bell, bell_basis, controller_basis, ghz_basis, validate_orthonormal
 from bcst.channel import bcst_spec, build_bcst_channel, build_bcst_channel_unchecked, qd_spec
 from bcst.catalog import entry
+from bcst.cli import main
+from bcst.specdoc import serialize_spec
+from bcst import protocol
 from bcst.protocol import (
     CORRECTION_TABLE,
     PauliOp,
@@ -348,3 +351,64 @@ def test_qd_rejects_wrong_specs():
         qd_round(ghz_qd, (0, 0), (0, 0), seeded(0))
     with pytest.raises(ValueError):
         qd_round(QD, (0, 2), (0, 0), seeded(0))
+
+
+# ---- per-spec memo ---------------------------------------------------------------------
+
+def count_calls(monkeypatch, name):
+    """Replace bcst.protocol.<name> by a wrapper that records each call."""
+    calls = []
+    original = getattr(protocol, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, name, wrapper)
+    return calls
+
+
+def test_simulate_assembles_the_channel_once(tmp_path, capsys, monkeypatch):
+    builds = count_calls(monkeypatch, "build_bcst_channel_unchecked")
+    spec_file = tmp_path / "seven.json"
+    spec_file.write_text(serialize_spec(entry("seven").spec))
+    assert main(["simulate", str(spec_file), "--trials", "12", "--seed", "3"]) == 0
+    assert "trials: 12" in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+def test_bell_basis_is_shared():
+    assert bell_basis() is bell_basis()
+
+
+def test_memo_serves_each_spec_its_own_channel():
+    a, b = entry("six1").spec, entry("seven").spec
+    payloads = (from_amplitudes([0.6, 0.8]), from_amplitudes([0.8, -0.6j]))
+
+    def transcript(spec):
+        return run_bcst(spec, *payloads, seed=5)[2].to_dict()
+
+    fresh = {}
+    for spec in (a, b):
+        protocol._prepared.cache_clear()  # as in a new process
+        fresh[spec] = transcript(spec)
+    assert fresh[a] != fresh[b]
+    assert [transcript(s) for s in (a, b, a)] == [fresh[a], fresh[b], fresh[a]]
+
+
+def test_run_bcst_discloses_through_charlie_disclose(monkeypatch):
+    disclosures = count_calls(monkeypatch, "charlie_disclose")
+    _, _, tr = run_bcst(entry("seven").spec, ket("0"), ket("1"), seed=4)
+    assert len(disclosures) == 1
+    assert tr.charlie_outcome < entry("seven").spec.n
+
+
+def test_dialogue_memo_never_uses_the_bcst_builder(monkeypatch):
+    protocol._prepared.cache_clear()
+    bcst_builds = count_calls(monkeypatch, "build_bcst_channel_unchecked")
+    qd_builds = count_calls(monkeypatch, "build_qd_channel")
+    for seed in range(3):
+        decoded_alice, decoded_bob, _ = qd_round(QD, (0, 1), (1, 0), seeded(seed))
+        assert decoded_alice == (0, 1) and decoded_bob == (1, 0)
+    assert bcst_builds == []
+    assert len(qd_builds) == 1

@@ -218,6 +218,50 @@ def test_measure_is_seed_deterministic():
     np.testing.assert_array_equal(a[2].amplitudes, b[2].amplitudes)
 
 
+def _moveaxis_project(amps, n, targets):
+    """Reference (target block) x (rest block) matrix via np.moveaxis."""
+    psi = np.moveaxis(amps.reshape([2] * n), targets, range(len(targets)))
+    return psi.reshape(1 << len(targets), -1)
+
+
+def _moveaxis_unproject(mat, n, targets):
+    psi = np.moveaxis(mat.reshape([2] * n), range(len(targets)), targets)
+    return psi.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3))
+def test_kernels_match_the_moveaxis_reference_bit_for_bit(seed, n, k):
+    # the one-transpose kernels only move data, so every entry is exact
+    rng = seeded(seed)
+    k = min(k, n)
+    state = random_state(n, rng)
+    t = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+    amps = state.amplitudes
+
+    u = random_unitary(1 << k, rng)
+    expected = _moveaxis_unproject(u @ _moveaxis_project(amps, n, t), n, t)
+    np.testing.assert_array_equal(apply_unitary(state, u, t).amplitudes, expected)
+
+    basis = [StateVector(k, col) for col in random_unitary(1 << k, rng).T]
+    idx, prob, collapsed = measure_in_basis(state, t, basis, seeded(seed))
+    b = np.stack([e.amplitudes for e in basis])
+    resid = (b.conj() @ _moveaxis_project(amps, n, t))[idx]
+    expected = _moveaxis_unproject(np.outer(b[idx], resid / np.sqrt(prob)), n, t)
+    np.testing.assert_array_equal(collapsed.amplitudes, expected)
+
+    elem = basis[idx].amplitudes
+    resid = elem.conj() @ _moveaxis_project(amps, n, t)
+    prob = np.vdot(resid, resid).real
+    expected = _moveaxis_unproject(np.outer(elem, resid / np.sqrt(prob)), n, t)
+    np.testing.assert_array_equal(
+        project_onto(state, t, basis[idx])[1].amplitudes, expected)
+
+    other = random_state(2, rng)
+    np.testing.assert_array_equal(
+        tensor(state, other).amplitudes, np.kron(amps, other.amplitudes))
+
+
 # ---- density matrices --------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
