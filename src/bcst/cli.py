@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes are disjoint by failure class: 0 success, 1 parse/input problems
-(including `simulate --trials` below 1 and a BCST_TOLERANCE that is not a
-finite positive number), 2 selection rule violations, 3 intractable census
-requests, 4 wrong channel kind for the subcommand, 5 failed control
-requirement, 6 unrecognized state.
+(including argparse usage errors, `simulate --trials` below 1 and a
+BCST_TOLERANCE that is not a finite positive number), 2 selection rule
+violations, 3 intractable census requests, 4 wrong channel kind for the
+subcommand, 5 failed control requirement, 6 unrecognized state.
 Every subcommand is deterministic given --seed.
 """
 from __future__ import annotations
@@ -38,8 +38,15 @@ EXIT_UNRECOGNIZED = 6
 SIMULATE_FIDELITY_FLOOR = 1.0 - 1e-9
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exits EXIT_INPUT."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcst",
         description="construct, count, and verify controlled teleportation channels",
     )
@@ -127,6 +134,8 @@ def cmd_census(args) -> int:
             print(f"closed form p={args.p} n={args.n}: {value}")
             return EXIT_OK
         if mode == "oracle":
+            if args.p < 1 or args.n < 2:
+                return _fail(EXIT_INPUT, "need p >= 1 and n >= 2")
             size = 1 << args.p
             value = census.oracle_count(size, size, args.n)
             print(f"oracle p={args.p} n={args.n}: {value}")

@@ -1,7 +1,15 @@
 """Counting: closed form, exhaustive oracle, constructive enumerator."""
+import collections
+import itertools
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bcst import census
 from bcst.census import (
     IntractableError,
     census_report,
@@ -126,3 +134,95 @@ def test_census_report_intractable_cell():
     assert report.constructive_value is None
     assert report.formula_matches_oracle is None
     assert any("intractable" in line for line in report.lines())
+
+
+# ---- block counters against the per-tuple references ----------------------------
+
+def reference_oracle(rows, cols, n):
+    """The per-tuple oracle: int64 divmod decode and a sort, 2^18-row chunks."""
+    base = rows * cols
+    total = base**n
+    count = 0
+    for start in range(0, total, 1 << 18):
+        idx = np.arange(start, min(start + (1 << 18), total), dtype=np.int64)
+        digits = np.empty((idx.size, n), dtype=np.int64)
+        rem = idx
+        for pos in range(n - 1, -1, -1):
+            digits[:, pos] = rem % base
+            rem = rem // base
+        r = digits // cols
+        c = digits % cols
+        distinct = np.all(np.diff(np.sort(digits, axis=1), axis=1) != 0, axis=1)
+        same_row = np.all(r == r[:, :1], axis=1)
+        same_col = np.all(c == c[:, :1], axis=1)
+        count += int(np.count_nonzero(distinct & ~same_row & ~same_col))
+    return count
+
+
+def reference_enumerator(rows, cols, n):
+    """The per-tuple enumerator: itertools.permutations filtered by all()."""
+    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    for combo in itertools.permutations(cells, n):
+        if all(i == combo[0][0] for i, _ in combo):
+            continue
+        if all(j == combo[0][1] for _, j in combo):
+            continue
+        yield combo
+
+
+def exact_count(rows, cols, n):
+    # distinct ordered tuples minus those in one row or in one column
+    return (math.perm(rows * cols, n) - rows * math.perm(cols, n)
+            - cols * math.perm(rows, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))
+def test_counters_match_the_references(rows, cols, n):
+    expected = exact_count(rows, cols, n)
+    assert oracle_count(rows, cols, n) == reference_oracle(rows, cols, n) == expected
+    got = list(enumerate_selections(rows, cols, n))
+    assert got == list(reference_enumerator(rows, cols, n))
+    assert len(got) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4), st.sampled_from([1, 16, 64]))
+def test_oracle_is_exact_for_any_prefix_length(rows, cols, n, chunk):
+    # a small table moves digits into the prefix loop, which the default
+    # table size reaches only from n = 6 on the 4x4 grid
+    with mock.patch.object(census, "_CHUNK", chunk):
+        assert oracle_count(rows, cols, n) == reference_oracle(rows, cols, n)
+
+
+@pytest.mark.parametrize("rows,cols,n", [(4, 4, 5), (8, 8, 3)])
+def test_counters_at_workload_sizes(rows, cols, n):
+    expected = exact_count(rows, cols, n)
+    assert oracle_count(rows, cols, n) == reference_oracle(rows, cols, n) == expected
+    head = list(itertools.islice(enumerate_selections(rows, cols, n), 1000))
+    assert head == list(itertools.islice(reference_enumerator(rows, cols, n), 1000))
+    tail = collections.deque(maxlen=1000)
+    seen = 0
+    for sel in enumerate_selections(rows, cols, n):
+        tail.append(sel)
+        seen += 1
+    assert seen == expected
+    assert list(tail) == list(collections.deque(reference_enumerator(rows, cols, n),
+                                                maxlen=1000))
+
+
+def test_enumerator_guard_raises_on_first_value():
+    with pytest.raises(IntractableError):
+        next(enumerate_selections(4, 4, 8))
+
+
+def test_oracle_memory_stays_chunked():
+    # the 16^6 tuple space is 100 MB as int64; the counter must not hold it
+    tracemalloc.start()
+    try:
+        value = oracle_count(4, 4, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 5765760
+    assert peak < 16 * 2**20

@@ -113,6 +113,38 @@ def test_census_intractable(capsys):
     assert code == EXIT_INTRACTABLE
 
 
+@pytest.mark.parametrize("p,n", [("-1", "3"), ("0", "3"), ("2", "1")])
+def test_census_oracle_rejects_bad_sizes(capsys, p, n):
+    code, out, err = run_cli(capsys, "census", p, n, "--oracle")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: need p >= 1 and n >= 2\n"
+
+
+# ---- usage errors --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "x.json", "--trials", "abc"),
+    ("census", "2", "x"),
+    (),
+], ids=["bad-trials", "bad-census-n", "no-subcommand"])
+def test_usage_errors_exit_input_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
 # ---- simulate ------------------------------------------------------------------
 
 def test_simulate_small_run(tmp_path, capsys):
