@@ -9,29 +9,25 @@ import argparse
 
 import numpy as np
 
-from bcst import bcst_spec, controller_basis, run_bcst, validate_selection, verify_control
-from bcst.catalog import entry
+from bcst import bcst_spec, run_bcst, validate_selection, verify_control
+from bcst.catalog import candidate_bases, entry
 from bcst.qstate import random_state
-
-FAMILIES_BY_L = {
-    1: ("computational", "hadamard-product"),
-    2: ("computational", "hadamard-product", "axes:zx", "axes:xz"),
-    3: ("computational", "hadamard-product", "ghz"),
-}
 
 
 def draw_spec(rng: np.random.Generator, n: int):
     """Rejection-sample a rule-respecting ordered selection, then dress it
-    with a random controller family, keyed subset and +-1 phases."""
+    with a random controller family (one of the recognizer's candidates),
+    keyed subset and +-1 phases."""
     while True:
         cells = [(int(i), int(j)) for i, j in rng.integers(1, 5, size=(n, 2))]
         if len(set(cells)) == n and validate_selection(cells, 4) is None:
             break
     l = max(1, (n - 1).bit_length())
-    family = str(rng.choice(FAMILIES_BY_L[l]))
+    families = candidate_bases(l)
+    controller = families[int(rng.integers(len(families)))]
     subset = [int(k) for k in rng.choice(1 << l, size=n, replace=False)]
     phases = [int(s) for s in rng.choice([-1, 1], size=n)]
-    return bcst_spec(cells, controller_basis(family, l), subset=subset, phases=phases)
+    return bcst_spec(cells, controller, subset=subset, phases=phases)
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,6 @@ from .channel import (
     build_bcst_channel,
     build_qd_channel,
     charlie_collapse_targets,
-    pair_matrix,
     qd_spec,
     validate_selection,
 )

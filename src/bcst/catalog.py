@@ -8,12 +8,20 @@ control is one-sided), and the second six-qubit four-term variant repeats
 cells (Rule 2).  literal_state() expands every printed expression directly
 from hand-written vectors, independent of the channel builder, so the two
 paths can be compared.
+
+recognize() runs the construction backwards.  In the cell-coefficient matrix
+C (the amplitudes expanded over the pair-grid cells: one row per cell, one
+column per controller amplitude) the nonzero rows are the selected cells and
+each row is its term's phase times its controller state, so the terms are
+read off C and the controller family is the candidate basis that contains
+those rows.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +31,6 @@ from .bases import (
     EntangledBasis,
     bell_basis,
     controller_basis,
-    ghz_basis,
 )
 from .channel import (
     ChannelSpec,
@@ -185,40 +192,41 @@ def literal_state(entry_id: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # recognition: decompose an amplitude vector back into a channel spec
 
-def candidate_bases(l: int) -> list[ControllerBasis]:
-    """Default controller-basis candidates for an l-qubit controller: every
-    per-qubit z/x measurement-axis product, plus the GHZ basis when l = 3."""
-    seen = []
-    axes_strings = ["z" * l, "x" * l]
-    axes_strings += ["".join(c) for c in itertools.product("zx", repeat=l)]
-    for axes in axes_strings:
-        if axes not in seen:
-            seen.append(axes)
-    out = [controller_basis(f"axes:{a}", l) for a in seen]
-    if l == 3:
-        gb = ghz_basis()
-        out.append(ControllerBasis("ghz", 3, gb.elements))
-    return out
+@cache
+def candidate_bases(l: int) -> tuple[ControllerBasis, ...]:
+    """Default controller-basis candidates for an l-qubit controller, built
+    once per l: every per-qubit z/x measurement-axis product (all-z and all-x
+    first), plus the GHZ basis when l = 3."""
+    axes = ["z" * l, "x" * l]
+    axes += [a for a in map("".join, itertools.product("zx", repeat=l)) if a not in axes]
+    out = tuple(controller_basis(f"axes:{a}", l) for a in axes)
+    return out + (controller_basis("ghz", 3),) if l == 3 else out
 
 
 def recognize(
     state: StateVector,
     layout: QubitLayout | None = None,
-    candidates: list[ControllerBasis] | None = None,
+    candidates: Sequence[ControllerBasis] | None = None,
     pair_basis: EntangledBasis | None = None,
     *,
     uniform_tol: float = 1e-9,
 ) -> ChannelSpec | None:
     """Recover the channel spec that produced `state`, or None.
 
-    For each candidate controller basis: projects the controller qubits onto
-    every basis state, requires the surviving projections to have uniform
-    weight 1/n, and requires each residual to be a single grid product up to
-    a unit phase.  Among candidates that decompose the whole state, the one
-    with the fewest terms wins and candidate order breaks ties.  (A state
-    keyed to n distinct cells can also split into n' > n terms with repeated
-    cells under another basis, e.g. GHZ keying seen computationally, so the
-    smallest decomposition is the originating one.)
+    Undoes the construction sum_m phase_m/sqrt(n) |e_i e_j>|a_m>: with the
+    amplitudes in [first pair, second pair, controller] order as a (pair
+    index x controller index) matrix M and B the pair-basis elements, the
+    cell-coefficient matrix C = (B (x) B)^dagger M has row (i, j) equal to
+    phase_m a_m / sqrt(n) for the term on cell (i, j) and zero elsewhere.
+    B (x) B is a basis, so the nonzero rows are the only decomposition into
+    distinct cells.  There must be at least 2, each of weight 1/n; the family
+    is the first candidate whose elements contain every normalized row up to
+    a phase, and the terms are ordered by controller index.  The chosen terms
+    are then checked densely: split_factor per term (weight 1/n, residual a
+    single grid product whose overlap gives the phase), and the rebuilt
+    channel must reproduce the state.  A state that decomposes only with
+    repeated cells (rows that no single family element matches) is not
+    recognized.
     """
     pb = pair_basis if pair_basis is not None else bell_basis()
     p = pb.p
@@ -234,65 +242,51 @@ def recognize(
         return None
     group1, group2 = layout.pair_groups()
 
-    # residuals come out in ascending-position order; build the permutation
-    # that restores [first pair, second pair] role order
-    remaining = [q for q in range(state.num_qubits) if q not in ctrl_pos]
-    desired = list(group1 + group2)
-    perm = tuple(remaining.index(q) for q in desired)
+    b = np.stack([e.amplitudes for e in pb.elements])
+    ordered = qstate.permute_qubits(state, group1 + group2 + ctrl_pos)
+    coeffs = np.kron(b, b).conj() @ ordered.amplitudes.reshape(-1, 1 << l)
+    weights = np.einsum("ij,ij->i", coeffs.conj(), coeffs).real
+    rows = np.flatnonzero(weights > uniform_tol)
+    n = rows.size
+    if n < 2 or not np.all(np.abs(weights[rows] - 1.0 / n) <= uniform_tol):
+        return None
+    keys = coeffs[rows] / np.sqrt(weights[rows])[:, None]
 
     if candidates is None:
         candidates = candidate_bases(l)
-
-    grid = [
-        (i, j, np.kron(pb.elements[i - 1].amplitudes, pb.elements[j - 1].amplitudes))
-        for i in range(1, pb.size + 1)
-        for j in range(1, pb.size + 1)
-    ]
-
-    best: ChannelSpec | None = None
     for cand in candidates:
         if cand.l != l:
             continue
-        found: list[tuple[int, tuple[int, int], complex]] = []
-        probs: list[float] = []
-        ok = True
-        for idx, a in enumerate(cand.elements):
-            prob, resid = qstate.split_factor(state, ctrl_pos, a)
-            if resid is None:
-                continue
-            resid = qstate.permute_qubits(resid, perm)
-            match = None
-            for i, j, v in grid:
-                overlap = complex(np.vdot(v, resid.amplitudes))
-                if abs(overlap) >= 1.0 - uniform_tol:
-                    match = (i, j, overlap)
-                    break
-            if match is None:
-                ok = False
-                break
-            found.append((idx, (match[0], match[1]), match[2]))
-            probs.append(prob)
-        if not ok or len(found) < 2:
-            continue
-        n = len(found)
-        if any(abs(pr - 1.0 / n) > uniform_tol for pr in probs):
-            continue
-        if abs(sum(probs) - 1.0) > uniform_tol:
-            continue
-        spec = ChannelSpec(
-            kind="bcst",
-            pair_basis=pb,
-            selection=tuple(cell for _, cell, _ in found),
-            phases=tuple(_snap_phase(ph) for _, _, ph in found),
-            controller=cand,
-            subset=tuple(idx for idx, _, _ in found),
-        )
-        rebuilt, _ = build_bcst_channel_unchecked(spec)
-        if qstate.fidelity_up_to_phase(rebuilt, state) < 1.0 - uniform_tol:
-            continue
-        if best is None or spec.n < best.n:
-            best = spec
-    return best
+        elems = np.stack([a.amplitudes for a in cand.elements])
+        overlaps = np.abs(elems.conj() @ keys.T)
+        if np.all(overlaps.max(axis=0) >= 1.0 - uniform_tol):
+            break
+    else:
+        return None
+    index = overlaps.argmax(axis=0)
+
+    # residuals come out in ascending-position order; build the permutation
+    # that restores [first pair, second pair] role order
+    remaining = [q for q in range(state.num_qubits) if q not in ctrl_pos]
+    perm = tuple(remaining.index(q) for q in group1 + group2)
+    terms = []
+    for k in np.argsort(index, kind="stable"):
+        prob, resid = qstate.split_factor(state, ctrl_pos, cand.elements[index[k]])
+        if resid is None or not abs(prob - 1.0 / n) <= uniform_tol:
+            return None
+        i, j = divmod(int(rows[k]), pb.size)
+        resid = qstate.permute_qubits(resid, perm)
+        overlap = complex(np.vdot(np.kron(b[i], b[j]), resid.amplitudes))
+        if not abs(overlap) >= 1.0 - uniform_tol:
+            return None
+        terms.append(((i + 1, j + 1), _snap_phase(overlap), int(index[k])))
+    selection, phases, subset = zip(*terms)
+    spec = ChannelSpec(kind="bcst", pair_basis=pb, selection=selection,
+                       phases=phases, controller=cand, subset=subset)
+    rebuilt, _ = build_bcst_channel_unchecked(spec)
+    if not qstate.fidelity_up_to_phase(rebuilt, state) >= 1.0 - uniform_tol:
+        return None
+    return spec
 
 
 def _snap_phase(ph: complex) -> complex:

@@ -47,27 +47,6 @@ class SelectionRuleError(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
-class PairMatrix:
-    """Grid of ordered products of basis elements, indexed 1-based."""
-
-    basis: EntangledBasis
-    size: int
-
-    def entry(self, i: int, j: int) -> tuple[StateVector, StateVector]:
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"cell ({i}, {j}) outside {self.size}x{self.size} grid")
-        return self.basis.elements[i - 1], self.basis.elements[j - 1]
-
-    def entry_state(self, i: int, j: int) -> StateVector:
-        a, b = self.entry(i, j)
-        return qstate.tensor(a, b)
-
-
-def pair_matrix(basis: EntangledBasis) -> PairMatrix:
-    return PairMatrix(basis, basis.size)
-
-
 def validate_selection(
     selection: Sequence[PairCell], grid_size: int
 ) -> RuleViolation | None:
@@ -181,7 +160,7 @@ class ChannelSpec:
                 f"{self.controller.l} controller qubits cannot key {n} terms"
             )
         for ph in self.phases:
-            if abs(abs(complex(ph)) - 1.0) > qstate.TOLERANCE:
+            if not abs(abs(complex(ph)) - 1.0) <= qstate.TOLERANCE:
                 raise ValueError(f"phase {ph} is not unit modulus")
         size = self.pair_basis.size
         if self.kind == "bcst":

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes are disjoint by failure class: 0 success, 1 parse/input problems
-(including argparse usage errors, `simulate --trials` below 1 and a
-BCST_TOLERANCE that is not a finite positive number), 2 selection rule
+(including argparse usage errors, unwritable output paths, `simulate
+--trials` below 1 or too large for a seed per trial, a negative `--seed`, and
+a BCST_TOLERANCE that is not a finite positive number), 2 selection rule
 violations, 3 intractable census requests, 4 wrong channel kind for the
 subcommand, 5 failed control requirement, 6 unrecognized state.
 Every subcommand is deterministic given --seed.
@@ -116,7 +117,10 @@ def cmd_build(args) -> int:
             state, layout = apply_layout(state, layout, layout_override)
         except ValueError as exc:
             return _fail(EXIT_INPUT, str(exc))
-    specdoc.write_amplitude_file(args.out_file, state)
+    try:
+        specdoc.write_amplitude_file(args.out_file, state)
+    except OSError as exc:
+        return _fail(EXIT_INPUT, str(exc))
     print(f"wrote {state.dim} amplitudes ({state.num_qubits} qubits) "
           f"layout {' '.join(layout.roles)}")
     return EXIT_OK
@@ -163,6 +167,12 @@ def _parse_payload(text: str) -> StateVector:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         return _fail(EXIT_INPUT, f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        return _fail(EXIT_INPUT, f"--seed must be non-negative, got {args.seed}")
+    try:
+        children = np.random.SeedSequence(args.seed).spawn(args.trials)
+    except OverflowError:
+        return _fail(EXIT_INPUT, f"--trials {args.trials} is too large")
     try:
         spec, _ = specdoc.load_spec_document(args.spec_file)
     except (OSError, specdoc.SpecDocumentError) as exc:
@@ -184,8 +194,7 @@ def cmd_simulate(args) -> int:
 
     lines = []
     worst = 1.0
-    master = np.random.SeedSequence(args.seed)
-    for t, child in enumerate(master.spawn(args.trials)):
+    for t, child in enumerate(children):
         rng = np.random.default_rng(child)
         alice_in = fixed_a if fixed_a is not None else qstate.random_state(1, rng)
         bob_in = fixed_b if fixed_b is not None else qstate.random_state(1, rng)
@@ -218,8 +227,11 @@ def cmd_catalog(args) -> int:
             return _fail(EXIT_INPUT, str(exc))
         text = specdoc.serialize_spec(e.spec)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                return _fail(EXIT_INPUT, str(exc))
         else:
             sys.stdout.write(text)
         return EXIT_OK

@@ -7,7 +7,8 @@ matrices are immutable values; every operation returns a new object.  All
 approximate comparisons share a single tolerance, TOLERANCE, overridable
 through the BCST_TOLERANCE environment variable.  It is read on first use, so
 a malformed value fails the first check that needs it (and the CLI up front)
-rather than `import bcst`.
+rather than `import bcst`.  Checks are written as `not deviation <= tol`, so
+a NaN anywhere fails them.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, got {amps.size}"
             )
-        if abs(np.vdot(amps, amps).real - 1.0) > _tolerance():
+        if not abs(np.vdot(amps, amps).real - 1.0) <= _tolerance():
             raise ValueError("amplitudes are not normalized")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -86,9 +87,9 @@ class DensityMatrix:
         d = 1 << self.num_qubits
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _tolerance():
+        if not np.max(np.abs(m - m.conj().T)) <= _tolerance():
             raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _tolerance():
+        if not abs(np.trace(m).real - 1.0) <= _tolerance():
             raise ValueError("trace is not 1")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -128,7 +129,7 @@ def from_amplitudes(amplitudes, *, atol: float | None = None) -> StateVector:
         raise ValueError(f"amplitude count {n} is not a power of two")
     norm = float(np.linalg.norm(amps))
     if atol is not None:
-        if abs(norm - 1.0) > atol:
+        if not abs(norm - 1.0) <= atol:
             raise ValueError(f"norm {norm} further than {atol} from 1")
         amps = amps / norm
     return StateVector(n.bit_length() - 1, amps)
@@ -158,7 +159,7 @@ def apply_unitary(state: StateVector, u, targets: Sequence[int]) -> StateVector:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"operator shape {u.shape} does not act on {k} qubits")
-    if np.max(np.abs(u @ u.conj().T - np.eye(1 << k))) > 1e-10:
+    if not np.max(np.abs(u @ u.conj().T - np.eye(1 << k))) <= 1e-10:
         raise ValueError("operator is not unitary")
     mat, _ = _project_matrix(state, t)
     return StateVector(state.num_qubits, _unproject(u @ mat, t))
@@ -286,22 +287,9 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(len(t), mat @ mat.conj().T)
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    a = state.amplitudes
-    return DensityMatrix(state.num_qubits, np.outer(a, a.conj()))
-
-
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     """|<a|b>| — insensitive to global phase, 1 iff equal up to phase."""
     return min(1.0, abs(inner(a, b)))
-
-
-def state_fidelity(rho: DensityMatrix, target: StateVector) -> float:
-    """sqrt(<target|rho|target>); equals |<target|psi>| when rho = |psi><psi|."""
-    if rho.num_qubits != target.num_qubits:
-        raise ValueError("register size mismatch")
-    v = target.amplitudes
-    return float(np.sqrt(max(0.0, np.vdot(v, rho.entries @ v).real)))
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:

@@ -1,9 +1,19 @@
 """Published channel catalog and the spec recognizer."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bcst.bases import GhzLabel, bell_basis, controller_basis, ghz
+from bcst import qstate
+from bcst.bases import (
+    GhzLabel,
+    bell_basis,
+    controller_basis,
+    custom_controller_basis,
+    ghz,
+    ghz_basis,
+)
 from bcst.catalog import (
+    _snap_phase,
     candidate_bases,
     catalog_entries,
     entry,
@@ -11,11 +21,20 @@ from bcst.catalog import (
     recognize,
     reconstruct,
 )
-from bcst.channel import bcst_layout, build_bcst_channel, build_bcst_channel_unchecked, validate_selection
+from bcst.channel import (
+    ChannelSpec,
+    apply_layout,
+    bcst_layout,
+    bcst_spec,
+    build_bcst_channel,
+    build_bcst_channel_unchecked,
+    validate_selection,
+)
 from bcst.protocol import verify_control
-from bcst.qstate import fidelity_up_to_phase, random_state
+from bcst.qstate import StateVector, fidelity_up_to_phase, ket, random_state
+from bcst.specdoc import serialize_spec
 
-from helpers import random_spec, spec_key
+from helpers import FAMILIES_BY_L, random_spec, spec_key
 
 ALL_IDS = ("zha5", "zha_ii5", "li5", "cqsdc5", "six1", "six3", "six4a",
            "six4b", "seven")
@@ -98,6 +117,17 @@ def test_duplicated_cell_variant_equals_its_two_term_twin():
 
 # ---- recognition -----------------------------------------------------------------
 
+def test_candidate_bases_are_built_once_per_size():
+    assert isinstance(candidate_bases(2), tuple)
+    assert candidate_bases(2) is candidate_bases(2)
+
+
+@pytest.mark.parametrize("l", sorted(FAMILIES_BY_L))
+def test_helper_families_are_recognizer_candidates(l):
+    names = {b.name for b in candidate_bases(l)}
+    assert set(FAMILIES_BY_L[l]) <= names
+
+
 def test_candidate_bases_cover_the_axis_products():
     names1 = [b.name for b in candidate_bases(1)]
     assert names1 == ["computational", "hadamard-product"]
@@ -165,11 +195,186 @@ def test_recognize_round_trips_random_specs():
         assert fidelity_up_to_phase(rebuilt, state) >= 1.0 - 1e-12
 
 
-def test_recognize_checks_projection_uniformity():
-    # a state with non-uniform weights over grid products is refused
+def test_recognize_checks_projection_uniformity(split_factor_calls):
+    # a state with non-uniform weights over grid products is refused by the
+    # weight check, before any dense projection
     b = bell_basis().elements
     lop = np.kron(np.kron(b[0].amplitudes, b[0].amplitudes), [1, 0])
     rop = np.kron(np.kron(b[1].amplitudes, b[1].amplitudes), [0, 1])
     skewed = np.sqrt(0.9) * lop + np.sqrt(0.1) * rop
-    from bcst.qstate import StateVector
     assert recognize(StateVector(5, skewed)) is None
+    assert split_factor_calls == []
+
+
+def test_family_must_contain_every_row():
+    # six1's rows are |00> and |11>; a basis holding |00> but not |11> comes
+    # first and must be passed over for the computational basis
+    state = reconstruct(entry("six1"))
+    mixed = StateVector(2, np.array([0, 0, 1, 1]) / np.sqrt(2))
+    partial = custom_controller_basis([ket("00"), ket("01"), mixed])
+    spec = recognize(state, candidates=[partial, controller_basis("computational", 2)])
+    assert spec is not None
+    assert spec_key(spec) == spec_key(entry("six1").spec)
+
+
+# ---- the recognizer against the candidate-search reference ------------------------
+
+def reference_recognize(state, layout=None, candidates=None, pair_basis=None, *,
+                        uniform_tol=1e-9):
+    """The recognizer as it was before the cell-coefficient matrix: project the
+    controller onto every element of every candidate basis, require uniform
+    weights and single grid products, and keep the fewest-term decomposition."""
+    pb = pair_basis if pair_basis is not None else bell_basis()
+    p = pb.p
+    l = state.num_qubits - 2 * p
+    if l < 1:
+        return None
+    if layout is None:
+        layout = bcst_layout(p, l)
+    if len(layout.roles) != state.num_qubits:
+        raise ValueError("layout does not match the register size")
+    ctrl_pos = layout.controller_positions
+    if len(ctrl_pos) != l:
+        return None
+    group1, group2 = layout.pair_groups()
+    remaining = [q for q in range(state.num_qubits) if q not in ctrl_pos]
+    desired = list(group1 + group2)
+    perm = tuple(remaining.index(q) for q in desired)
+    if candidates is None:
+        candidates = candidate_bases(l)
+    grid = [
+        (i, j, np.kron(pb.elements[i - 1].amplitudes, pb.elements[j - 1].amplitudes))
+        for i in range(1, pb.size + 1)
+        for j in range(1, pb.size + 1)
+    ]
+    best = None
+    for cand in candidates:
+        if cand.l != l:
+            continue
+        found = []
+        probs = []
+        ok = True
+        for idx, a in enumerate(cand.elements):
+            prob, resid = qstate.split_factor(state, ctrl_pos, a)
+            if resid is None:
+                continue
+            resid = qstate.permute_qubits(resid, perm)
+            match = None
+            for i, j, v in grid:
+                overlap = complex(np.vdot(v, resid.amplitudes))
+                if abs(overlap) >= 1.0 - uniform_tol:
+                    match = (i, j, overlap)
+                    break
+            if match is None:
+                ok = False
+                break
+            found.append((idx, (match[0], match[1]), match[2]))
+            probs.append(prob)
+        if not ok or len(found) < 2:
+            continue
+        n = len(found)
+        if any(abs(pr - 1.0 / n) > uniform_tol for pr in probs):
+            continue
+        if abs(sum(probs) - 1.0) > uniform_tol:
+            continue
+        spec = ChannelSpec(
+            kind="bcst",
+            pair_basis=pb,
+            selection=tuple(cell for _, cell, _ in found),
+            phases=tuple(_snap_phase(ph) for _, _, ph in found),
+            controller=cand,
+            subset=tuple(idx for idx, _, _ in found),
+        )
+        rebuilt, _ = build_bcst_channel_unchecked(spec)
+        if qstate.fidelity_up_to_phase(rebuilt, state) < 1.0 - uniform_tol:
+            continue
+        if best is None or spec.n < best.n:
+            best = spec
+    return best
+
+
+def assert_agrees_with_reference(state, layout, pair_basis):
+    """Same serialized spec as the reference when the reference's cells are
+    distinct; None when it needed repeated cells or found nothing."""
+    ref = reference_recognize(state, layout, pair_basis=pair_basis)
+    new = recognize(state, layout, pair_basis=pair_basis)
+    if ref is not None and len(set(ref.selection)) == ref.n:
+        assert new is not None
+        assert serialize_spec(new) == serialize_spec(ref)
+    else:
+        assert new is None
+
+
+@st.composite
+def drawn_specs(draw):
+    """Rule-valid spec on Bell pairs (l = 1..3) or GHZ pairs (l <= 3), keyed
+    to a candidate family, with phases from {+-1, +-i}."""
+    pb = draw(st.sampled_from([bell_basis(), ghz_basis()]))
+    l = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 1 << l))
+    cell = st.tuples(st.integers(1, pb.size), st.integers(1, pb.size))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True)
+                 .filter(lambda c: validate_selection(c, pb.size) is None))
+    controller = draw(st.sampled_from(candidate_bases(l)))
+    subset = draw(st.permutations(range(1 << l)))[:n]
+    phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=n, max_size=n))
+    return bcst_spec(cells, controller, subset, phases, pb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_specs(), st.randoms(use_true_random=False))
+def test_recognize_matches_the_reference(spec, random):
+    state, layout = build_bcst_channel(spec)
+    recovered = recognize(state, layout, pair_basis=spec.pair_basis)
+    assert recovered is not None
+    assert spec_key(recovered) == spec_key(spec)
+    assert_agrees_with_reference(state, layout, spec.pair_basis)
+    # layouts are read by position (controller roles, then the pairs in
+    # order), so a permuted register need not give back the built spec, but
+    # it must give what the reference gives
+    roles = list(layout.roles)
+    random.shuffle(roles)
+    moved, moved_layout = apply_layout(state, layout, roles)
+    assert_agrees_with_reference(moved, moved_layout, spec.pair_basis)
+
+
+def test_repeated_cell_decomposition_is_no_longer_recognized():
+    # cell (1,1) keyed to |0>|+i>, cell (2,3) keyed to |1>|+i>: the rows match
+    # no single family element, but the computational basis splits the state
+    # into four terms on repeated cells
+    b = bell_basis().elements
+    plus_i = np.array([1, 1j]) / np.sqrt(2)
+    amps = (np.kron(np.kron(b[0].amplitudes, b[0].amplitudes), np.kron([1, 0], plus_i))
+            + np.kron(np.kron(b[1].amplitudes, b[2].amplitudes), np.kron([0, 1], plus_i)))
+    state = StateVector(6, amps / np.sqrt(2))
+    ref = reference_recognize(state)
+    assert ref.controller.name == "computational"
+    assert ref.selection == ((1, 1), (1, 1), (2, 3), (2, 3))
+    assert recognize(state) is None
+
+
+@pytest.fixture
+def split_factor_calls(monkeypatch):
+    calls = []
+    original = qstate.split_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qstate, "split_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("num_qubits", [5, 6, 7])
+def test_haar_states_fail_before_any_split(split_factor_calls, num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    for _ in range(5):
+        assert recognize(random_state(num_qubits, rng)) is None
+    assert split_factor_calls == []
+
+
+def test_split_factor_runs_once_per_term(split_factor_calls):
+    spec = recognize(reconstruct(entry("seven")))
+    assert spec.n == 4
+    assert len(split_factor_calls) == 4

@@ -17,7 +17,6 @@ from bcst.channel import (
     build_bcst_channel_unchecked,
     build_qd_channel,
     charlie_collapse_targets,
-    pair_matrix,
     qd_layout,
     qd_spec,
     validate_selection,
@@ -68,14 +67,6 @@ def test_selection_malformed_inputs_raise():
         validate_selection([(1, 5), (2, 2)], 4)
 
 
-def test_pair_matrix_entries():
-    pm = pair_matrix(bell_basis())
-    assert pm.size == 4
-    np.testing.assert_allclose(pm.entry_state(2, 3).amplitudes, grid_product(2, 3))
-    with pytest.raises(ValueError):
-        pm.entry(0, 1)
-
-
 # ---- spec validation ----------------------------------------------------------
 
 def test_spec_validation_catches_structural_problems():
@@ -84,6 +75,8 @@ def test_spec_validation_catches_structural_problems():
 
     with pytest.raises(ValueError, match="unit modulus"):
         bcst_spec([(1, 1), (2, 2)], HAD1, phases=[1.0, 0.5]).validate()
+    with pytest.raises(ValueError, match="unit modulus"):
+        bcst_spec([(1, 1), (2, 2)], HAD1, phases=[1.0, float("nan")]).validate()
     with pytest.raises(ValueError, match="distinct"):
         bcst_spec([(1, 1), (2, 2)], HAD1, subset=[0, 0]).validate()
     with pytest.raises(ValueError, match="out of range"):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,17 @@ def test_build_writes_amplitudes(tmp_path, capsys):
     assert state.num_qubits == 5
     assert np.count_nonzero(state.amplitudes) == 4
     assert fidelity_up_to_phase(state, reconstruct(entry("zha5"))) >= 1.0 - 1e-12
+
+
+def test_build_to_an_unwritable_path(tmp_path, capsys):
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(serialize_spec(entry("zha5").spec))
+    target = tmp_path / "missing" / "x.amps"
+    code, out, err = run_cli(capsys, "build", str(spec_file), str(target))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_build_rejects_rule_violations(tmp_path, capsys):
@@ -226,6 +238,38 @@ def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+def test_simulate_rejects_overflowing_trials(tmp_path, capsys):
+    # only a count past C ssize_t: one that fits would allocate a seed per trial
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(serialize_spec(entry("zha5").spec))
+    trials = "100000000000000000000"
+    code, out, err = run_cli(capsys, "simulate", str(spec_file), "--trials", trials)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: --trials {trials} is too large\n"
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(serialize_spec(entry("zha5").spec))
+    code, out, err = run_cli(capsys, "simulate", str(spec_file), "--seed", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
+
+
+def test_simulate_nan_payload_fails_with_the_norm_message(tmp_path, capsys):
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(serialize_spec(entry("zha5").spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", str(spec_file),
+                                 "--alice-state", "nan,0,0,0")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: norm nan further than 1e-09 from 1\n"
+
+
 @pytest.fixture
 def tolerance_env(monkeypatch):
     """Set BCST_TOLERANCE for one test; the value is re-read on next use."""
@@ -322,6 +366,15 @@ def test_catalog_export_unknown_id(capsys):
     assert code == EXIT_INPUT
 
 
+def test_catalog_export_to_an_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "catalog", "--export", "seven", "--out", str(target))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(target) in err
+
+
 def test_catalog_export_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--export", "seven")
     assert code == EXIT_OK
@@ -354,6 +407,19 @@ def test_recognize_unnormalized_input(tmp_path, capsys):
     amp_file.write_text("0 1.0 0.0\n1 1.0 0.0\n")
     code, _, err = run_cli(capsys, "recognize", str(amp_file))
     assert code == EXIT_INPUT
+
+
+def test_recognize_nan_row_is_unreadable_input(tmp_path, capsys):
+    amp_file = tmp_path / "nan.txt"
+    rows = ["0 nan 0"] + [f"{k} 0 0" for k in range(1, 31)] + ["31 1 0"]
+    amp_file.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "recognize", str(amp_file))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: norm nan")
 
 
 def test_recognize_wrong_layout(tmp_path, capsys):

@@ -19,11 +19,9 @@ from bcst.qstate import (
     permute_qubits,
     principal_state,
     project_onto,
-    pure_density,
     purity,
     random_state,
     split_factor,
-    state_fidelity,
     tensor,
     trace_distance,
 )
@@ -64,6 +62,13 @@ def test_statevector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0], [1, np.nan], [np.nan + 1j, 0],
+                                  [np.inf, 0]])
+def test_statevector_rejects_nan_amplitudes(amps):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, np.array(amps, dtype=complex))
+
+
 def test_statevector_is_read_only():
     s = ket("0")
     with pytest.raises(ValueError):
@@ -86,6 +91,13 @@ def test_from_amplitudes_renormalizes_within_atol():
         from_amplitudes([1.0, 0.0, 0.0])  # not a power of two
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0], [1, complex(0, np.nan)], [np.inf, 0]])
+def test_from_amplitudes_rejects_a_nan_norm(amps):
+    # abs(nan - 1) > atol is False, so the check must be written as not <=
+    with pytest.raises(ValueError, match="from 1"):
+        from_amplitudes(amps, atol=1e-9)
+
+
 def test_tensor_order():
     # first argument supplies the leftmost (most significant) qubits
     s = tensor(ket("1"), ket("0"))
@@ -104,6 +116,8 @@ def test_apply_unitary_single_qubit():
 def test_apply_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
         apply_unitary(ket("0"), [[1, 0], [0, 2]], (0,))
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_unitary(ket("0"), [[np.nan, 0], [0, 1]], (0,))
     with pytest.raises(ValueError):
         apply_unitary(ket("00"), X, (0, 1))  # shape mismatch
     with pytest.raises(ValueError):
@@ -271,7 +285,8 @@ def test_partial_trace_of_product_state(seed, na, nb):
     rng = seeded(seed)
     a, b = random_state(na, rng), random_state(nb, rng)
     rho = partial_trace(tensor(a, b), tuple(range(na)))
-    assert trace_distance(rho, pure_density(a)) <= 1e-12
+    pure_a = DensityMatrix(na, np.outer(a.amplitudes, a.amplitudes.conj()))
+    assert trace_distance(rho, pure_a) <= 1e-12
 
 
 def test_partial_trace_of_entangled_half_is_mixed():
@@ -290,21 +305,34 @@ def test_density_matrix_validation():
         bad.validate()  # negative eigenvalue
 
 
-def test_state_fidelity_on_pure_density():
-    rng = seeded(7)
-    a, b = random_state(2, rng), random_state(2, rng)
-    assert state_fidelity(pure_density(a), b) == pytest.approx(abs(inner(a, b)))
+@pytest.mark.parametrize("entries, message", [
+    ([[np.nan, 0], [0, 1]], "Hermitian"),
+    ([[0.5, np.nan], [np.nan, 0.5]], "Hermitian"),
+    ([[0.5, 0], [0, 0.5 + complex(0, np.nan)]], "Hermitian"),
+])
+def test_density_matrix_rejects_nan_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(1, np.array(entries, dtype=complex))
+
+
+def test_density_matrix_trace_check_rejects_nan(monkeypatch):
+    # with the Hermitian check passed, a NaN trace must still fail
+    monkeypatch.setattr(np, "trace", lambda m: complex(np.nan))
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(1, np.eye(2) / 2)
 
 
 def test_trace_distance_extremes():
-    z, o = pure_density(ket("0")), pure_density(ket("1"))
+    z = DensityMatrix(1, np.outer([1, 0], [1, 0]))
+    o = DensityMatrix(1, np.outer([0, 1], [0, 1]))
     assert trace_distance(z, z) == pytest.approx(0.0, abs=1e-15)
     assert trace_distance(z, o) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_principal_state_recovers_pure_component():
     s = random_state(2, seeded(9))
-    back = principal_state(pure_density(s))
+    a = s.amplitudes
+    back = principal_state(DensityMatrix(2, np.outer(a, a.conj())))
     assert fidelity_up_to_phase(back, s) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         principal_state(partial_trace(bell_basis().elements[0], (0,)))
