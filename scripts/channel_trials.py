@@ -2,8 +2,10 @@
 
 For each drawn spec: build the channel, check which directions the
 controller actually controls, then run seeded two-way teleportation trials
-with Haar-random payloads and report the worst fidelity seen.  Alternatively
-run a named catalog entry with --entry.
+with Haar-random payloads and report the worst fidelity seen.  A spec's
+trials are one batched `run_bcst` call; trial t of spec k draws its payloads
+and outcomes from child t of child k of `SeedSequence(--seed)`.
+Alternatively run a named catalog entry with --entry.
 """
 import argparse
 
@@ -52,13 +54,13 @@ def main(argv=None) -> int:
         specs = [(f"random-{k}", draw_spec(rng, args.terms))
                  for k in range(args.specs)]
 
-    for name, spec in specs:
+    spec_seeds = np.random.SeedSequence(args.seed).spawn(len(specs))
+    for (name, spec), spec_seed in zip(specs, spec_seeds):
         control = verify_control(spec)
-        worst = 1.0
-        for _ in range(args.trials):
-            a, b = random_state(1, rng), random_state(1, rng)
-            _, _, tr = run_bcst(spec, a, b, rng=rng)
-            worst = min(worst, tr.fidelity_bob, tr.fidelity_alice)
+        rngs = [np.random.default_rng(c) for c in spec_seed.spawn(args.trials)]
+        a, b = random_state(1, rngs), random_state(1, rngs)
+        _, _, transcripts = run_bcst(spec, a, b, rng=rngs)
+        worst = min(min(tr.fidelity_bob, tr.fidelity_alice) for tr in transcripts)
         cells = " ".join(f"({i},{j})" for i, j in spec.selection)
         print(f"{name}: cells {cells}  controller {spec.controller.name}  "
               f"control={control.sides}  worst fidelity {worst:.15f}")

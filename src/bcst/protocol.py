@@ -88,14 +88,19 @@ def correction(shared: BellKind, smo: Smo | tuple[int, int]) -> PauliOp:
     return CORRECTION_TABLE[(shared, Smo(*smo))]
 
 
-def bell_measure(
-    state: StateVector, q_a: int, q_b: int, rng: np.random.Generator
-) -> tuple[Smo, StateVector]:
-    """Measure qubits (q_a, q_b) in the Bell basis; outcome bits plus collapse."""
-    idx, _, collapsed = qstate.measure_in_basis(
+def bell_measure(state: StateVector, q_a: int, q_b: int, rng):
+    """Measure qubits (q_a, q_b) in the Bell basis.
+
+    Returns (outcome bits, Born probability, collapsed state); with one
+    generator per trial, the bits are a tuple and the probabilities an array
+    over the trials (see `qstate.measure_in_basis`).
+    """
+    idx, prob, collapsed = qstate.measure_in_basis(
         state, (q_a, q_b), bell_basis().elements, rng
     )
-    return _SMO_BY_BELL_INDEX[idx], collapsed
+    if np.ndim(idx) == 0:
+        return _SMO_BY_BELL_INDEX[idx], prob, collapsed
+    return tuple(_SMO_BY_BELL_INDEX[k] for k in idx.tolist()), prob, collapsed
 
 
 def teleport(
@@ -109,7 +114,7 @@ def teleport(
     if input_state.num_qubits != 1:
         raise ValueError("teleport carries a single qubit")
     full = qstate.tensor(input_state, bell(shared))
-    smo, collapsed = bell_measure(full, 0, 1, rng)
+    smo, _, collapsed = bell_measure(full, 0, 1, rng)
     corrected = qstate.apply_unitary(collapsed, correction(shared, smo).matrix, (2,))
     outcome_state = bell_basis().elements[_BELL_INDEX_BY_SMO[smo]]
     return qstate.factor_out(corrected, (0, 1), outcome_state), smo
@@ -187,25 +192,31 @@ def charlie_disclose(
     channel_state: StateVector,
     spec: ChannelSpec,
     layout: QubitLayout,
-    rng: np.random.Generator,
-) -> tuple[int, StateVector]:
+    rng,
+):
     """Controller measures its qubits in the keyed basis and announces m.
 
-    Returns (m, pair state with the controller factored out).  For a sound
-    channel the outcome always lands inside the keyed subset; anything else
-    means the state was not built from this spec.
+    Returns (m, its Born probability, pair state with the controller
+    factored out); with one generator per trial, m and the probability are
+    arrays over the trials.  For a sound channel the outcome always lands
+    inside the keyed subset; anything else means the state was not built
+    from this spec.
     """
     targets = charlie_collapse_targets(spec, layout)
     basis = _prepared(spec).basis
-    idx, _, collapsed = qstate.measure_in_basis(channel_state, targets, basis, rng)
-    if idx >= spec.n:
-        raise ProtocolError(f"collapse outcome {idx} outside the keyed subset")
-    return idx, qstate.factor_out(collapsed, targets, basis[idx])
+    idx, prob, collapsed = qstate.measure_in_basis(channel_state, targets, basis, rng)
+    if np.max(idx) >= spec.n:
+        raise ProtocolError(
+            f"collapse outcome {np.max(idx)} outside the keyed subset"
+        )
+    element = qstate.basis_element(basis, idx)
+    return idx, prob, qstate.factor_out(collapsed, targets, element)
 
 
 @dataclass(frozen=True)
 class BcstTranscript:
-    """Replayable record of one two-way teleportation run."""
+    """Replayable record of one two-way teleportation run, with the Born
+    probability of each of its three measurement outcomes."""
 
     seed: int | None
     charlie_outcome: int
@@ -215,6 +226,9 @@ class BcstTranscript:
     correction_alice: PauliOp
     fidelity_bob: float
     fidelity_alice: float
+    prob_charlie: float
+    prob_alice: float
+    prob_bob: float
 
     def to_dict(self) -> dict:
         return {
@@ -226,6 +240,9 @@ class BcstTranscript:
             "correction_alice": str(self.correction_alice),
             "fidelity_bob": self.fidelity_bob,
             "fidelity_alice": self.fidelity_alice,
+            "prob_charlie": self.prob_charlie,
+            "prob_alice": self.prob_alice,
+            "prob_bob": self.prob_bob,
         }
 
 
@@ -234,14 +251,22 @@ def run_bcst(
     alice_in: StateVector,
     bob_in: StateVector,
     *,
-    rng: np.random.Generator | None = None,
+    rng=None,
     seed: int | None = None,
-) -> tuple[StateVector, StateVector, BcstTranscript]:
+):
     """Both teleportation directions end to end on the full register.
 
     Alice sends alice_in to Bob over the first pair, Bob sends bob_in to
     Alice over the second, after the controller's disclosure.  Returns
     (bob_received, alice_received, transcript).
+
+    Given a sequence of generators instead of one, it runs one trial per
+    generator in a single array pass: each payload is a single state or a
+    batch with a row per trial, the received states are batches and the
+    transcript is a tuple with one entry per trial.  Trial t draws only from
+    its own generator, in the order disclosure, Alice's outcome, Bob's, so
+    its record does not depend on the other trials.  One trial is the batch
+    of one.
     """
     if spec.kind != "bcst":
         raise ProtocolError("two-way teleportation needs a bcst channel spec")
@@ -252,40 +277,66 @@ def run_bcst(
         )
     if alice_in.num_qubits != 1 or bob_in.num_qubits != 1:
         raise ValueError("teleported payloads are single qubits")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    single = rng is None or isinstance(rng, np.random.Generator)
+    rngs = (np.random.default_rng(seed) if rng is None else rng,) if single else rng
+    for payload in (alice_in, bob_in):
+        if payload.batch not in (None, len(rngs)):
+            raise ValueError(
+                f"{len(rngs)} generators for a batch of {payload.batch} payloads"
+            )
 
     channel_state, layout, _ = _prepared(spec)
-    full = qstate.tensor(channel_state, alice_in, bob_in)
-    # the payloads follow the channel register, so the channel layout still
-    # locates the controller; afterwards the register is
-    # [A1, B1, A2, B2, in_a, in_b]
-    m, full = charlie_disclose(full, spec, layout, rng)
-    i_m, j_m = spec.selection[m]
-    shared_ab = BellKind(i_m - 1)
-    shared_ba = BellKind(j_m - 1)
+    # the disclosure acts on the controller alone, so it runs on the channel
+    # (one projection shared by every trial) before the payloads join;
+    # afterwards the register is [A1, B1, A2, B2, in_a, in_b]
+    m, p_m, pairs = charlie_disclose(channel_state, spec, layout, rngs)
+    full = qstate.tensor(pairs, alice_in, bob_in)
+    cells = [spec.selection[k] for k in m.tolist()]
 
-    smo_a, full = bell_measure(full, 4, 0, rng)
-    corr_b = correction(shared_ab, smo_a)
-    full = qstate.apply_unitary(full, corr_b.matrix, (1,))
+    smo_a, p_a, full = bell_measure(full, 4, 0, rngs)
+    corr_b = [correction(BellKind(i - 1), s) for (i, _), s in zip(cells, smo_a)]
+    full = qstate.apply_unitary(full, np.stack([c.matrix for c in corr_b]), (1,))
 
-    smo_b, full = bell_measure(full, 5, 3, rng)
-    corr_a = correction(shared_ba, smo_b)
-    full = qstate.apply_unitary(full, corr_a.matrix, (2,))
+    smo_b, p_b, full = bell_measure(full, 5, 3, rngs)
+    corr_a = [correction(BellKind(j - 1), s) for (_, j), s in zip(cells, smo_b)]
+    full = qstate.apply_unitary(full, np.stack([c.matrix for c in corr_a]), (2,))
 
-    bob_received = qstate.principal_state(qstate.partial_trace(full, (1,)))
-    alice_received = qstate.principal_state(qstate.partial_trace(full, (2,)))
-    transcript = BcstTranscript(
-        seed=seed,
-        charlie_outcome=m,
-        smo_alice=smo_a,
-        smo_bob=smo_b,
-        correction_bob=corr_b,
-        correction_alice=corr_a,
-        fidelity_bob=qstate.fidelity_up_to_phase(bob_received, alice_in),
-        fidelity_alice=qstate.fidelity_up_to_phase(alice_received, bob_in),
+    # read-out: strip both measured pairs, leaving [B1, A2], the product of
+    # Bob's and Alice's received qubits; projecting one of them onto the
+    # payload sent to it leaves the other, with weight = fidelity squared
+    bb = bell_basis().elements
+    measured = qstate.tensor(
+        qstate.basis_element(bb, [_BELL_INDEX_BY_SMO[s] for s in smo_a]),
+        qstate.basis_element(bb, [_BELL_INDEX_BY_SMO[s] for s in smo_b]),
     )
-    return bob_received, alice_received, transcript
+    received = qstate.factor_out(full, (4, 0, 5, 3), measured)
+    w_ab, alice_received = qstate.split_factor(received, (0,), alice_in)
+    w_ba, bob_received = qstate.split_factor(received, (1,), bob_in)
+    if alice_received is None or bob_received is None:
+        raise ProtocolError("a received qubit is orthogonal to its payload")
+    f_ab = np.minimum(1.0, np.sqrt(w_ab)).tolist()
+    f_ba = np.minimum(1.0, np.sqrt(w_ba)).tolist()
+
+    transcripts = tuple(
+        BcstTranscript(
+            seed=seed,
+            charlie_outcome=int(m[t]),
+            smo_alice=smo_a[t],
+            smo_bob=smo_b[t],
+            correction_bob=corr_b[t],
+            correction_alice=corr_a[t],
+            fidelity_bob=f_ab[t],
+            fidelity_alice=f_ba[t],
+            prob_charlie=float(p_m[t]),
+            prob_alice=float(p_a[t]),
+            prob_bob=float(p_b[t]),
+        )
+        for t in range(len(cells))
+    )
+    if single:
+        return (StateVector(1, bob_received.amplitudes[0]),
+                StateVector(1, alice_received.amplitudes[0]), transcripts[0])
+    return bob_received, alice_received, transcripts
 
 
 @dataclass(frozen=True)
@@ -411,22 +462,30 @@ QD_ENCODING: dict[tuple[int, int], PauliOp] = {
 }
 
 
-def _decode(
-    initial: StateVector,
-    final_idx: int,
-    known: PauliOp,
-    known_first: bool,
-) -> tuple[int, int]:
-    """Find the unknown encoding given the initial pair, the final Bell
-    outcome, one's own operation, and who applied first."""
-    target = bell_basis().elements[final_idx]
-    for bits, op in QD_ENCODING.items():
-        first, second = (known, op) if known_first else (op, known)
-        candidate = qstate.apply_unitary(initial, first.matrix, (0,))
-        candidate = qstate.apply_unitary(candidate, second.matrix, (0,))
-        if qstate.fidelity_up_to_phase(candidate, target) > 1.0 - 1e-9:
-            return bits
-    raise ProtocolError("no encoding reproduces the announced outcome")
+@functools.cache
+def _decode_table() -> dict[tuple[BellKind, int, PauliOp, bool], tuple[int, int]]:
+    """The other party's bits, keyed by (initial Bell pair, final Bell
+    outcome index, one's own operation, whether it was applied first).
+
+    Derived once from how each Pauli on the first qubit permutes the Bell
+    basis (up to phase), found by simulation; a decode is a lookup.
+    """
+    bb = bell_basis().elements
+    moved = {}
+    for k, element in enumerate(bb):
+        for op in PauliOp:
+            out = qstate.apply_unitary(element, op.matrix, (0,))
+            moved[k, op] = next(
+                i for i, e in enumerate(bb)
+                if qstate.fidelity_up_to_phase(out, e) > 1.0 - 1e-9
+            )
+    table = {}
+    for kind in BellKind:
+        for bits, op in QD_ENCODING.items():
+            for known in PauliOp:
+                table[kind, moved[moved[kind, known], op], known, True] = bits
+                table[kind, moved[moved[kind, op], known], known, False] = bits
+    return table
 
 
 def qd_round(
@@ -453,8 +512,8 @@ def qd_round(
             raise ValueError("message bits must be 0 or 1")
 
     state, layout, _ = _prepared(spec)
-    m, pair = charlie_disclose(state, spec, layout, rng)
-    initial = bell(BellKind(spec.selection[m] - 1))
+    m, _, pair = charlie_disclose(state, spec, layout, rng)
+    initial = BellKind(spec.selection[m] - 1)
 
     u_b = QD_ENCODING[bob_bits]
     u_a = QD_ENCODING[alice_bits]
@@ -466,6 +525,6 @@ def qd_round(
     if prob < 1.0 - 1e-9:
         raise ProtocolError("encoded pair was not a Bell state")
 
-    decoded_bob = _decode(initial, final_idx, known=u_a, known_first=False)
-    decoded_alice = _decode(initial, final_idx, known=u_b, known_first=True)
+    decoded_bob = _decode_table()[initial, final_idx, u_a, False]
+    decoded_alice = _decode_table()[initial, final_idx, u_b, True]
     return decoded_alice, decoded_bob, m

@@ -3,7 +3,10 @@
 Conventions used everywhere in this package: the basis label |q1 q2 ... qN>
 maps to the integer index whose most significant bit is q1, so kets read left
 to right and qubit positions are 0-based from the left.  States and density
-matrices are immutable values; every operation returns a new object.  All
+matrices are immutable values; every operation returns a new object.  A
+StateVector may also hold a batch of states over one register, one row per
+trial; the state kernels keep that leading trial axis, so a run of T trials
+is one array pass and a single state is the case without the axis.  All
 approximate comparisons share a single tolerance, TOLERANCE, overridable
 through the BCST_TOLERANCE environment variable.  It is read on first use, so
 a malformed value fails the first check that needs it (and the CLI up front)
@@ -49,9 +52,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_sqnorms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a batch."""
+    return np.einsum("ti,ti->t", x.conj(), x).real
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over an ordered qubit register."""
+    """Normalized complex amplitudes over an ordered qubit register.
+
+    `amplitudes` has shape (2^N,) for one state or (T, 2^N) for a batch of
+    T states, row t being trial t; anything else of size 2^N is flattened.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -61,18 +73,27 @@ class StateVector:
             raise ValueError(
                 f"register size {self.num_qubits} outside [1, {MAX_QUBITS}]"
             )
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 1 << self.num_qubits:
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes, got {amps.size}"
-            )
-        if not abs(np.vdot(amps, amps).real - 1.0) <= _tolerance():
+        d = 1 << self.num_qubits
+        amps = np.array(self.amplitudes, dtype=np.complex128)
+        if amps.ndim == 2 and amps.shape[1] == d:
+            deviation = np.max(np.abs(_row_sqnorms(amps) - 1.0))
+        else:
+            amps = amps.reshape(-1)
+            if amps.size != d:
+                raise ValueError(f"expected {d} amplitudes, got {amps.size}")
+            deviation = abs(np.vdot(amps, amps).real - 1.0)
+        if not deviation <= _tolerance():
             raise ValueError("amplitudes are not normalized")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
+
+    @property
+    def batch(self) -> int | None:
+        """Number of trials in a batch, None for a single state."""
+        return self.amplitudes.shape[0] if self.amplitudes.ndim == 2 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,30 +157,38 @@ def from_amplitudes(amplitudes, *, atol: float | None = None) -> StateVector:
 
 
 def tensor(*states: StateVector) -> StateVector:
-    """Tensor product; the first argument supplies the leftmost qubits."""
+    """Tensor product; the first argument supplies the leftmost qubits.
+
+    Batches multiply row by row, and a single state joins every row."""
     if not states:
         raise ValueError("tensor of nothing")
     amps = states[0].amplitudes
     for s in states[1:]:
-        amps = np.outer(amps, s.amplitudes).reshape(-1)
+        b = s.amplitudes
+        lead = amps.shape[:-1] or b.shape[:-1]
+        amps = (amps[..., :, None] * b[..., None, :]).reshape(lead + (-1,))
     return StateVector(sum(s.num_qubits for s in states), amps)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
+    """<a|b> of two single states."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("register size mismatch")
+    if a.batch is not None or b.batch is not None:
+        raise ValueError("inner product of batches is not defined")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def apply_unitary(state: StateVector, u, targets: Sequence[int]) -> StateVector:
-    """Apply a unitary to the listed qubits, first target = leftmost bit of u."""
+    """Apply a unitary to the listed qubits, first target = leftmost bit of u.
+
+    A (T, d, d) stack of unitaries applies u[t] to row t of a batch."""
     t = _check_targets(state.num_qubits, targets)
     k = len(t)
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (1 << k, 1 << k):
+    if u.shape[-2:] != (1 << k, 1 << k) or u.ndim > 3:
         raise ValueError(f"operator shape {u.shape} does not act on {k} qubits")
-    if not np.max(np.abs(u @ u.conj().T - np.eye(1 << k))) <= 1e-10:
+    if not np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(1 << k))) <= 1e-10:
         raise ValueError("operator is not unitary")
     mat, _ = _project_matrix(state, t)
     return StateVector(state.num_qubits, _unproject(u @ mat, t))
@@ -176,27 +205,34 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
 
 @functools.lru_cache(maxsize=256)
 def _axis_order(
-    n: int, targets: tuple[int, ...]
+    n: int, targets: tuple[int, ...], lead: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis order moving the targets to the front (the rest keep their
-    order) and its inverse, which puts every qubit back."""
+    order) and its inverse, which puts every qubit back; `lead` leading
+    (trial) axes stay in place."""
     order = targets + tuple(q for q in range(n) if q not in targets)
-    return order, tuple(order.index(q) for q in range(n))
+    inverse = tuple(order.index(q) for q in range(n))
+    keep = tuple(range(lead))
+    return (keep + tuple(lead + q for q in order),
+            keep + tuple(lead + q for q in inverse))
 
 
 def _project_matrix(state: StateVector, targets: tuple[int, ...]):
-    """Amplitudes as a (target block) x (rest block) matrix, plus rest count."""
+    """Amplitudes as a (target block) x (rest block) matrix, one per row of a
+    batch, plus the rest count."""
     n, k = state.num_qubits, len(targets)
-    order, _ = _axis_order(n, targets)
-    psi = state.amplitudes.reshape([2] * n).transpose(order)
-    return psi.reshape(1 << k, -1), n - k
+    lead = state.amplitudes.shape[:-1]
+    order, _ = _axis_order(n, targets, len(lead))
+    psi = state.amplitudes.reshape(lead + (2,) * n).transpose(order)
+    return psi.reshape(lead + (1 << k, -1)), n - k
 
 
 def _unproject(mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Inverse of _project_matrix: flat amplitudes in register order."""
-    n = mat.size.bit_length() - 1
-    _, inverse = _axis_order(n, targets)
-    return mat.reshape([2] * n).transpose(inverse).reshape(-1)
+    """Inverse of _project_matrix: amplitudes in register order."""
+    lead = mat.shape[:-2]
+    n = (mat.shape[-2] * mat.shape[-1]).bit_length() - 1
+    _, inverse = _axis_order(n, targets, len(lead))
+    return mat.reshape(lead + (2,) * n).transpose(inverse).reshape(lead + (-1,))
 
 
 def project_onto(
@@ -222,20 +258,29 @@ def project_onto(
 
 def split_factor(
     state: StateVector, targets: Sequence[int], element: StateVector
-) -> tuple[float, StateVector | None]:
+) -> tuple[float | np.ndarray, StateVector | None]:
     """Like project_onto but returns the normalized residual state over the
-    remaining qubits (in increasing position order)."""
+    remaining qubits (in increasing position order).
+
+    On a batch the weights are an array and a batch element projects row t
+    onto its own row t; the residual is None if any row has no weight."""
     t = _check_targets(state.num_qubits, targets)
     if element.num_qubits != len(t):
         raise ValueError("element size does not match target count")
     if len(t) >= state.num_qubits:
         raise ValueError("no qubits would remain")
     mat, rest = _project_matrix(state, t)
-    resid = element.amplitudes.conj() @ mat
-    prob = float(np.vdot(resid, resid).real)
-    if prob < 1e-15:
+    elem = element.amplitudes.conj()
+    resid = elem @ mat if elem.ndim == 1 else (elem[:, None, :] @ mat)[:, 0, :]
+    if resid.ndim == 1:
+        prob = float(np.vdot(resid, resid).real)
+        scale = np.sqrt(prob)
+    else:
+        prob = _row_sqnorms(resid)
+        scale = np.sqrt(prob)[:, None]
+    if _least(prob) < 1e-15:
         return prob, None
-    return prob, StateVector(rest, resid / np.sqrt(prob))
+    return prob, StateVector(rest, resid / scale)
 
 
 def factor_out(
@@ -243,41 +288,95 @@ def factor_out(
 ) -> StateVector:
     """Strip a subsystem known to be exactly in `element` (weight must be 1)."""
     prob, resid = split_factor(state, targets, element)
-    if resid is None or prob < 1.0 - 1e-9:
-        raise ValueError(f"subsystem carries weight {prob}, cannot factor out")
+    if resid is None or _least(prob) < 1.0 - 1e-9:
+        raise ValueError(
+            f"subsystem carries weight {_least(prob)}, cannot factor out"
+        )
     return resid
+
+
+def _least(prob) -> float:
+    """The weight itself, or the least weight of a batch."""
+    return prob if isinstance(prob, float) else float(prob.min())
+
+
+def _generators(rng) -> tuple[tuple[np.random.Generator, ...], bool]:
+    """(generators, whether a single one was given instead of a sequence)."""
+    if isinstance(rng, np.random.Generator):
+        return (rng,), True
+    return tuple(rng), False
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_matrix(basis: tuple[StateVector, ...], k: int) -> np.ndarray:
+    """Basis states as rows, checked once per basis to be a complete
+    orthonormal basis of k qubits (states hash by identity, so a hit is the
+    very same immutable states)."""
+    if len(basis) != 1 << k:
+        raise ValueError(f"basis has {len(basis)} elements, need {1 << k}")
+    b = np.stack([e.amplitudes for e in basis])
+    if b.shape != (1 << k, 1 << k):
+        raise ValueError("basis element size does not match target count")
+    gram = b.conj() @ b.T
+    if not np.max(np.abs(gram - np.eye(1 << k))) <= _tolerance():
+        raise ValueError("basis is not orthonormal")
+    return _frozen(b)
+
+
+def basis_element(basis: Sequence[StateVector], idx) -> StateVector:
+    """basis[idx]; an index array gives a batch whose row t is basis[idx[t]]."""
+    if np.ndim(idx) == 0:
+        return basis[int(idx)]
+    b = _basis_matrix(tuple(basis), basis[0].num_qubits)
+    return StateVector(basis[0].num_qubits, b[np.asarray(idx)])
 
 
 def measure_in_basis(
     state: StateVector,
     targets: Sequence[int],
     basis: Sequence[StateVector],
-    rng: np.random.Generator,
-) -> tuple[int, float, StateVector]:
+    rng,
+):
     """Projective measurement of the targets in a complete orthonormal basis.
 
     Samples an outcome with Born probabilities from rng and collapses by
     projection plus renormalization (the basis is never silently extended).
     Returns (outcome index, outcome probability, collapsed state).
+
+    Given a sequence of generators, one per trial, it measures every row of
+    a batch (a single state once per generator), each outcome drawn from its
+    own row's generator by one `random()` call, as `Generator.choice` does;
+    indices and probabilities are then arrays and the state a batch.
     """
     t = _check_targets(state.num_qubits, targets)
-    k = len(t)
-    if len(basis) != 1 << k:
-        raise ValueError(f"basis has {len(basis)} elements, need {1 << k}")
-    b = np.stack([e.amplitudes for e in basis])
-    if b.shape[1] != 1 << k:
-        raise ValueError("basis element size does not match target count")
-    gram = b.conj() @ b.T
-    if np.max(np.abs(gram - np.eye(1 << k))) > _tolerance():
-        raise ValueError("basis is not orthonormal")
+    b = _basis_matrix(tuple(basis), len(t))
+    rngs, single = _generators(rng)
+    batch = state.batch
+    if single and batch is not None:
+        raise ValueError("a batch of states needs one generator per trial")
+    if batch is not None and len(rngs) != batch:
+        raise ValueError(f"{len(rngs)} generators for a batch of {batch} states")
     mat, _ = _project_matrix(state, t)
     resid = b.conj() @ mat  # row k = unnormalized residual for outcome k
-    probs = np.einsum("ij,ij->i", resid.conj(), resid).real
-    idx = int(rng.choice(len(basis), p=probs / probs.sum()))
-    prob = float(probs[idx])
-    r = resid[idx] / np.sqrt(prob)
-    full = np.outer(b[idx], r)
-    return idx, prob, StateVector(state.num_qubits, _unproject(full, t))
+    probs = np.einsum("...ij,...ij->...i", resid.conj(), resid).real
+    if not single and batch is None:  # one state, measured once per generator
+        resid = np.broadcast_to(resid, (len(rngs),) + resid.shape)
+        probs = np.broadcast_to(probs, (len(rngs),) + probs.shape)
+    total = probs.sum(axis=-1, keepdims=True)
+    if not np.all((0.0 < total) & (total < np.inf)):
+        raise ValueError("outcome probabilities do not sum to a positive number")
+    cdf = (probs / total).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    draws = np.array([g.random() for g in rngs]).reshape(cdf.shape[:-1] + (1,))
+    idx = np.count_nonzero(cdf <= draws, axis=-1)  # searchsorted(.., "right")
+    prob = np.take_along_axis(probs, idx[..., None], -1)[..., 0]
+    r = np.take_along_axis(resid, idx[..., None, None], -2)[..., 0, :]
+    r = r / np.sqrt(prob)[..., None]
+    full = b[idx][..., :, None] * r[..., None, :]
+    collapsed = StateVector(state.num_qubits, _unproject(full, t))
+    if single:
+        return int(idx), float(prob), collapsed
+    return idx, prob, collapsed
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
@@ -312,8 +411,13 @@ def principal_state(rho: DensityMatrix, *, min_purity: float = 1.0 - 1e-9) -> St
     return StateVector(rho.num_qubits, vecs[:, -1])
 
 
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state."""
+def random_state(num_qubits: int, rng) -> StateVector:
+    """Haar-random pure state; a sequence of generators gives a batch with
+    one row drawn from each."""
     d = 1 << num_qubits
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    rngs, single = _generators(rng)
+    rows = []
+    for g in rngs:
+        v = g.standard_normal(d) + 1j * g.standard_normal(d)
+        rows.append(v / np.linalg.norm(v))
+    return StateVector(num_qubits, rows[0] if single else np.stack(rows))

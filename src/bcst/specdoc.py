@@ -4,7 +4,8 @@ A spec document carries: version, kind ("bcst" | "qd"), pair_basis ("bell" |
 "ghz"), selection ([[i, j], ...] 1-based, or [i, ...] for dialogue), phases
 (+-1, or [re, im]), controller (a named family with an ordered subset, or
 explicit custom states), and an optional layout override (role-name
-permutation of the canonical register order).
+permutation of the canonical register order).  Any other field, and an `l`
+that contradicts a `ghz` or `axes:<a>` family, is an error.
 
 Amplitudes in custom controllers may be written exactly as integer multiples
 of powers of 1/sqrt(2): {"num": k, "den_sqrt2_power": p} denotes
@@ -90,6 +91,18 @@ def sqrt2_encode(x: float, max_power: int = 40) -> Any:
 
 # -- parsing ----------------------------------------------------------------
 
+_DOCUMENT_FIELDS = ("version", "kind", "pair_basis", "selection", "phases",
+                   "controller", "layout")
+_FAMILY_CONTROLLER_FIELDS = ("family", "subset", "l")
+_CUSTOM_CONTROLLER_FIELDS = ("custom", "subset")
+
+
+def _reject_unknown(raw: dict, known: tuple[str, ...], what: str, prefix: str = ""):
+    for key in raw:
+        if key not in known:
+            raise SpecDocumentError(f"not a field of {what}", field=prefix + key)
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SpecDocumentError(f"missing required field {key!r}", field=key)
@@ -126,6 +139,8 @@ def _parse_controller(raw, n: int):
     if not isinstance(raw, dict):
         raise SpecDocumentError("controller must be an object", field="controller")
     if "custom" in raw:
+        _reject_unknown(raw, _CUSTOM_CONTROLLER_FIELDS, "a custom controller",
+                        "controller.")
         rows = raw["custom"]
         if not isinstance(rows, list) or not rows:
             raise SpecDocumentError(
@@ -158,14 +173,23 @@ def _parse_controller(raw, n: int):
             "controller needs either a family name or custom states",
             field="controller.family",
         )
+    _reject_unknown(raw, _FAMILY_CONTROLLER_FIELDS, "a family controller",
+                    "controller.")
+    # ghz and axes:<a> fix the register size; an l beside them must agree
     if family == "ghz":
-        l = 3
+        implied = 3
     elif family.startswith("axes:"):
-        l = len(family) - len("axes:")
+        implied = len(family) - len("axes:")
     else:
-        l = raw.get("l", max(1, (n - 1).bit_length()))
-    if not isinstance(l, int) or l < 1:
+        implied = max(1, (n - 1).bit_length())
+    l = raw.get("l", implied)
+    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise SpecDocumentError("l must be a positive integer", field="controller.l")
+    if l != implied and (family == "ghz" or family.startswith("axes:")):
+        raise SpecDocumentError(
+            f"l={l} contradicts family {family!r}, which has l={implied}",
+            field="controller.l",
+        )
     try:
         basis = controller_basis(family, l)
     except ValueError as exc:
@@ -199,6 +223,7 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
         raise SpecDocumentError(f"not valid JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(doc, dict):
         raise SpecDocumentError("document must be a JSON object")
+    _reject_unknown(doc, _DOCUMENT_FIELDS, "a spec document")
 
     version = _require(doc, "version")
     if version != DOCUMENT_VERSION:

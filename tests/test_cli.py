@@ -270,6 +270,24 @@ def test_simulate_nan_payload_fails_with_the_norm_message(tmp_path, capsys):
     assert err == "error: norm nan further than 1e-09 from 1\n"
 
 
+@pytest.mark.parametrize("change, field", [
+    (lambda doc: doc.update(bogus=1), "bogus"),
+    (lambda doc: doc["controller"].update(bogus=1), "controller.bogus"),
+    (lambda doc: doc["controller"].update(l=2), "controller.l"),
+])
+def test_simulate_rejects_unknown_fields_and_a_contradicting_l(
+        tmp_path, capsys, change, field):
+    doc = json.loads(serialize_spec(entry("seven").spec))  # a ghz controller
+    change(doc)
+    spec_file = tmp_path / "chan.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(spec_file), "--trials", "2")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"(field '{field}')" in err
+
+
 @pytest.fixture
 def tolerance_env(monkeypatch):
     """Set BCST_TOLERANCE for one test; the value is re-read on next use."""

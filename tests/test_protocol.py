@@ -125,9 +125,9 @@ def test_derived_table_equals_shipped_table():
 # ---- bell measurement and teleportation ----------------------------------------
 
 def test_bell_measure_eigenstates():
-    smo, _ = bell_measure(bell(BellKind.PSI_PLUS), 0, 1, seeded(1))
+    smo, _, _ = bell_measure(bell(BellKind.PSI_PLUS), 0, 1, seeded(1))
     assert smo == Smo(0, 0)
-    smo, _ = bell_measure(bell(BellKind.PHI_MINUS), 0, 1, seeded(1))
+    smo, _, _ = bell_measure(bell(BellKind.PHI_MINUS), 0, 1, seeded(1))
     assert smo == Smo(1, 1)
 
 
@@ -175,7 +175,7 @@ def test_disclosure_on_the_two_term_channel():
                                 bell_basis().elements[j - 1].amplitudes)
     seen = set()
     for seed in range(12):
-        m, pair = charlie_disclose(state, spec, layout, seeded(seed))
+        m, _, pair = charlie_disclose(state, spec, layout, seeded(seed))
         assert m in (0, 1)
         i, j = spec.selection[m]
         overlap = abs(np.vdot(grid(i, j), pair.amplitudes))
@@ -203,7 +203,7 @@ def test_disclosure_of_the_ghz_keyed_channel():
                      bell(BellKind.PHI_MINUS).amplitudes)
     hits = 0
     for seed in range(24):
-        m, pair = charlie_disclose(state, spec, layout, seeded(seed))
+        m, _, pair = charlie_disclose(state, spec, layout, seeded(seed))
         if m == 1:
             hits += 1
             assert abs(np.vdot(target, pair.amplitudes)) == pytest.approx(
@@ -333,6 +333,32 @@ def test_qd_random_rounds():
         b_bits = tuple(int(x) for x in rng.integers(0, 2, size=2))
         decoded_alice, decoded_bob, m = qd_round(QD, a_bits, b_bits, rng)
         assert decoded_alice == a_bits and decoded_bob == b_bits
+
+
+def reference_decode(initial, final_idx, known, known_first):
+    """Brute-force decode: try all four encodings on the initial pair."""
+    target = bell_basis().elements[final_idx]
+    for bits, op in protocol.QD_ENCODING.items():
+        first, second = (known, op) if known_first else (op, known)
+        candidate = qstate.apply_unitary(initial, first.matrix, (0,))
+        candidate = qstate.apply_unitary(candidate, second.matrix, (0,))
+        if qstate.fidelity_up_to_phase(candidate, target) > 1.0 - 1e-9:
+            return bits
+    raise ProtocolError("no encoding reproduces the announced outcome")
+
+
+def test_decode_table_equals_the_brute_force_search():
+    table = protocol._decode_table()
+    expected = {
+        (kind, final_idx, known, known_first):
+            reference_decode(bell(kind), final_idx, known, known_first)
+        for kind in BellKind
+        for final_idx in range(4)
+        for known in PauliOp
+        for known_first in (True, False)
+    }
+    assert table == expected
+    assert protocol._decode_table() is table  # derived once
 
 
 def test_qd_encoded_family_is_orthonormal():

@@ -118,6 +118,56 @@ def test_parse_rejects_unknown_version_and_kind():
         parse_spec_document(json.dumps(doc))
 
 
+def _doc(**controller):
+    return {"version": 1, "kind": "bcst", "pair_basis": "bell",
+            "selection": [[1, 1], [2, 2]], "phases": [1, 1],
+            "controller": controller}
+
+
+@pytest.mark.parametrize("family, l", [("ghz", 2), ("ghz", 4), ("axes:zx", 3),
+                                       ("axes:x", 2)])
+def test_parse_rejects_an_l_that_contradicts_the_family(family, l):
+    with pytest.raises(SpecDocumentError, match="contradicts") as err:
+        parse_spec_document(json.dumps(_doc(family=family, l=l, subset=[0, 1])))
+    assert err.value.field == "controller.l"
+
+
+@pytest.mark.parametrize("family, l", [("ghz", 3), ("axes:zx", 2)])
+def test_parse_accepts_an_l_that_agrees_with_the_family(family, l):
+    spec, _ = parse_spec_document(json.dumps(_doc(family=family, l=l, subset=[0, 1])))
+    assert spec.controller.name == family and spec.controller.l == l
+
+
+@pytest.mark.parametrize("l", [0, -1, True, "2", 1.0])
+def test_parse_rejects_an_l_that_is_not_a_positive_integer(l):
+    with pytest.raises(SpecDocumentError, match="positive integer") as err:
+        parse_spec_document(json.dumps(_doc(family="computational", l=l)))
+    assert err.value.field == "controller.l"
+
+
+def test_parse_rejects_unknown_fields():
+    doc = _doc(family="computational", l=1)
+    doc["bogus"] = 1
+    with pytest.raises(SpecDocumentError) as err:
+        parse_spec_document(json.dumps(doc))
+    assert err.value.field == "bogus"
+    for controller, field in (
+        ({"family": "computational", "l": 1, "subst": [0, 1]}, "controller.subst"),
+        ({"custom": [[1, 0], [0, 1]], "family": "ghz"}, "controller.family"),
+        ({"custom": [[1, 0], [0, 1]], "l": 1}, "controller.l"),
+    ):
+        with pytest.raises(SpecDocumentError) as err:
+            parse_spec_document(json.dumps(_doc(**controller)))
+        assert err.value.field == field
+
+
+def test_serialized_documents_use_only_known_fields():
+    for e in catalog_entries():
+        parse_spec_document(serialize_spec(e.spec))
+    custom = custom_controller_basis([ket("00"), ket("11")])
+    parse_spec_document(serialize_spec(bcst_spec([(1, 1), (2, 2)], custom)))
+
+
 def test_parse_rejects_missing_controller():
     doc = {"version": 1, "kind": "bcst", "pair_basis": "bell",
            "selection": [[1, 1], [2, 2]], "phases": [1, 1]}
