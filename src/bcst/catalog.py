@@ -36,6 +36,7 @@ from .channel import (
     ChannelSpec,
     QubitLayout,
     RuleViolation,
+    apply_layout,
     bcst_layout,
     bcst_spec,
     build_bcst_channel,
@@ -110,11 +111,17 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
     )
 
 
+class UnknownEntryError(KeyError, ValueError):
+    """No catalog entry has this id: a failed lookup and a bad input."""
+
+    __str__ = ValueError.__str__  # the message, not KeyError's repr of it
+
+
 def entry(entry_id: str) -> CatalogEntry:
     for e in catalog_entries():
         if e.id == entry_id:
             return e
-    raise KeyError(f"no catalog entry {entry_id!r}")
+    raise UnknownEntryError(f"no catalog entry {entry_id!r}")
 
 
 def reconstruct(e: CatalogEntry) -> StateVector:
@@ -213,6 +220,11 @@ def recognize(
 ) -> ChannelSpec | None:
     """Recover the channel spec that produced `state`, or None.
 
+    `layout` names each qubit's role (default: the canonical roles).  The
+    register is first permuted into canonical order by role name, so a
+    layout that is not a permutation of the canonical roles raises
+    ValueError.
+
     Undoes the construction sum_m phase_m/sqrt(n) |e_i e_j>|a_m>: with the
     amplitudes in [first pair, second pair, controller] order as a (pair
     index x controller index) matrix M and B the pair-basis elements, the
@@ -233,18 +245,12 @@ def recognize(
     l = state.num_qubits - 2 * p
     if l < 1:
         return None
-    if layout is None:
-        layout = bcst_layout(p, l)
-    if len(layout.roles) != state.num_qubits:
-        raise ValueError("layout does not match the register size")
-    ctrl_pos = layout.controller_positions
-    if len(ctrl_pos) != l:
-        return None
-    group1, group2 = layout.pair_groups()
+    canonical = bcst_layout(p, l)
+    state, _ = apply_layout(state, layout or canonical, canonical.roles)
+    ctrl_pos = canonical.controller_positions
 
     b = np.stack([e.amplitudes for e in pb.elements])
-    ordered = qstate.permute_qubits(state, group1 + group2 + ctrl_pos)
-    coeffs = np.kron(b, b).conj() @ ordered.amplitudes.reshape(-1, 1 << l)
+    coeffs = np.kron(b, b).conj() @ state.amplitudes.reshape(-1, 1 << l)
     weights = np.einsum("ij,ij->i", coeffs.conj(), coeffs).real
     rows = np.flatnonzero(weights > uniform_tol)
     n = rows.size
@@ -265,17 +271,12 @@ def recognize(
         return None
     index = overlaps.argmax(axis=0)
 
-    # residuals come out in ascending-position order; build the permutation
-    # that restores [first pair, second pair] role order
-    remaining = [q for q in range(state.num_qubits) if q not in ctrl_pos]
-    perm = tuple(remaining.index(q) for q in group1 + group2)
     terms = []
     for k in np.argsort(index, kind="stable"):
         prob, resid = qstate.split_factor(state, ctrl_pos, cand.elements[index[k]])
         if resid is None or not abs(prob - 1.0 / n) <= uniform_tol:
             return None
         i, j = divmod(int(rows[k]), pb.size)
-        resid = qstate.permute_qubits(resid, perm)
         overlap = complex(np.vdot(np.kron(b[i], b[j]), resid.amplitudes))
         if not abs(overlap) >= 1.0 - uniform_tol:
             return None

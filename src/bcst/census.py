@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -50,6 +51,18 @@ def formula_count(p: int, n: int) -> int:
     return 2 ** (p * n) * (2 ** (p * n) - 2 ** (p + 1) + 1)
 
 
+def format_count(value: int) -> str:
+    """A positive count in decimal.  Past the interpreter's int-to-str digit
+    limit this raises a ValueError that names the count's size instead."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = math.floor(math.log10(value)) + 1
+        raise ValueError(f"a count of {digits} digits is past the "
+                         f"{sys.get_int_max_str_digits()}-digit limit on printing "
+                         "an integer") from None
+
+
 def _guard(rows: int, cols: int, n: int) -> None:
     if rows < 2 or cols < 2 or n < 2:
         raise ValueError("need rows, cols and n all >= 2")
@@ -57,7 +70,8 @@ def _guard(rows: int, cols: int, n: int) -> None:
         raise ValueError(f"cannot select {n} distinct cells from {rows * cols}")
     if (rows * cols) ** n > ORACLE_LIMIT:
         raise IntractableError(
-            f"{(rows * cols) ** n} tuples exceed the exhaustive limit {ORACLE_LIMIT}"
+            f"{format_count((rows * cols) ** n)} tuples exceed the exhaustive "
+            f"limit {ORACLE_LIMIT}"
         )
 
 
@@ -150,7 +164,7 @@ class CensusReport:
         rows = 1 << self.p
         out = [
             f"census p={self.p} n={self.n} (grid {rows}x{rows})",
-            f"  closed form:  {self.formula_value}",
+            f"  closed form:  {format_count(self.formula_value)}",
         ]
         if self.oracle_value is None:
             out.append(f"  oracle:       intractable (limit {ORACLE_LIMIT})")

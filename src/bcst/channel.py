@@ -90,9 +90,6 @@ class QubitLayout:
     def controller_positions(self) -> tuple[int, ...]:
         return tuple(k for k, r in enumerate(self.roles) if r.startswith("C"))
 
-    def position(self, role: str) -> int:
-        return self.roles.index(role)
-
     def pair_groups(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Positions of the first and second pair's qubits, in role order."""
         non_ctrl = [r for r in self.roles if not r.startswith("C")]

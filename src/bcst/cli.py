@@ -2,11 +2,13 @@
 
 Exit codes are disjoint by failure class: 0 success, 1 parse/input problems
 (including argparse usage errors, unwritable output paths, `simulate
---trials` below 1 or too large for a seed per trial, a negative `--seed`, and
-a BCST_TOLERANCE that is not a finite positive number), 2 selection rule
+--trials` below 1 or too large for a seed per trial, a negative `--seed`, a
+`--layout` that is not a permutation of the register's roles, and a
+BCST_TOLERANCE that is not a finite positive number), 2 selection rule
 violations, 3 intractable census requests, 4 wrong channel kind for the
-subcommand, 5 failed control requirement, 6 unrecognized state.
-Every subcommand is deterministic given --seed.
+subcommand, 5 failed control requirement, 6 unrecognized state.  `main`
+maps exception classes to these codes; the subcommands return the codes
+that no exception carries.  Every subcommand is deterministic given --seed.
 """
 from __future__ import annotations
 
@@ -17,11 +19,11 @@ import sys
 import numpy as np
 
 from . import catalog, census, qstate, specdoc
-from .bases import controller_basis
+from .bases import bell_basis, controller_basis, ghz_basis
 from .channel import (
+    QubitLayout,
     SelectionRuleError,
     apply_layout,
-    bcst_layout,
     build_bcst_channel,
     build_qd_channel,
 )
@@ -37,8 +39,9 @@ EXIT_CONTROL = 5
 EXIT_UNRECOGNIZED = 6
 
 SIMULATE_FIDELITY_FLOOR = 1.0 - 1e-9
-# trials per run_bcst pass: one array of this many rows bounds the memory of
-# a long run while keeping the per-pass overhead small
+# trials per run_bcst pass: one array of this many rows, and this many seed
+# children, bound the memory of a long run while keeping the per-pass
+# overhead small
 SIMULATE_CHUNK = 32
 
 
@@ -100,61 +103,33 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        spec, layout_override = specdoc.load_spec_document(args.spec_file)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except specdoc.SpecDocumentError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        if spec.kind == "bcst":
-            state, layout = build_bcst_channel(spec)
-        else:
-            state, layout = build_qd_channel(spec)
-    except SelectionRuleError as exc:
-        return _fail(EXIT_RULE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    spec, layout_override = specdoc.load_spec_document(args.spec_file)
+    build = build_bcst_channel if spec.kind == "bcst" else build_qd_channel
+    state, layout = build(spec)
     if layout_override is not None:
-        try:
-            state, layout = apply_layout(state, layout, layout_override)
-        except ValueError as exc:
-            return _fail(EXIT_INPUT, str(exc))
-    try:
-        specdoc.write_amplitude_file(args.out_file, state)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        state, layout = apply_layout(state, layout, layout_override)
+    specdoc.write_amplitude_file(args.out_file, state)
     print(f"wrote {state.dim} amplitudes ({state.num_qubits} qubits) "
           f"layout {' '.join(layout.roles)}")
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    mode = "both"
     if args.formula:
-        mode = "formula"
-    elif args.oracle:
-        mode = "oracle"
-    try:
-        if mode == "formula":
-            value = census.formula_count(args.p, args.n)
-            print(f"closed form p={args.p} n={args.n}: {value}")
-            return EXIT_OK
-        if mode == "oracle":
-            if args.p < 1 or args.n < 2:
-                return _fail(EXIT_INPUT, "need p >= 1 and n >= 2")
-            size = 1 << args.p
-            value = census.oracle_count(size, size, args.n)
-            print(f"oracle p={args.p} n={args.n}: {value}")
-            return EXIT_OK
-        report = census.census_report(args.p, args.n)
-    except census.IntractableError as exc:
-        return _fail(EXIT_INTRACTABLE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        value = census.formula_count(args.p, args.n)
+        print(f"closed form p={args.p} n={args.n}: {census.format_count(value)}")
+        return EXIT_OK
+    if args.oracle:
+        if args.p < 1 or args.n < 2:
+            return _fail(EXIT_INPUT, "need p >= 1 and n >= 2")
+        size = 1 << args.p
+        value = census.oracle_count(size, size, args.n)
+        print(f"oracle p={args.p} n={args.n}: {value}")
+        return EXIT_OK
+    report = census.census_report(args.p, args.n)
     for line in report.lines():
         print(line)
-    if mode == "both" and report.oracle_value is None:
+    if report.oracle_value is None:
         return _fail(EXIT_INTRACTABLE, "exhaustive counters skipped (intractable)")
     return EXIT_OK
 
@@ -172,21 +147,13 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_INPUT, f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
         return _fail(EXIT_INPUT, f"--seed must be non-negative, got {args.seed}")
-    try:
-        children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    except OverflowError:
+    if args.trials > sys.maxsize:  # past the trial indices SeedSequence can spawn
         return _fail(EXIT_INPUT, f"--trials {args.trials} is too large")
-    try:
-        spec, _ = specdoc.load_spec_document(args.spec_file)
-    except (OSError, specdoc.SpecDocumentError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    spec, _ = specdoc.load_spec_document(args.spec_file)
     if spec.kind != "bcst":
         return _fail(EXIT_WRONG_KIND, "simulate runs bcst specs; this one is qd")
-    try:
-        fixed_a = _parse_payload(args.alice_state) if args.alice_state else None
-        fixed_b = _parse_payload(args.bob_state) if args.bob_state else None
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    fixed_a = _parse_payload(args.alice_state) if args.alice_state else None
+    fixed_b = _parse_payload(args.bob_state) if args.bob_state else None
 
     report = verify_control(spec)
     print(f"control: sides={report.sides} "
@@ -195,16 +162,16 @@ def cmd_simulate(args) -> int:
     if args.require_both_controlled and report.sides != "both":
         return _fail(EXIT_CONTROL, f"control is {report.sides}, not both")
 
+    # successive spawns continue the children's spawn keys, so trial t gets
+    # child t of the seed whatever the pass size
+    seeds = np.random.SeedSequence(args.seed)
     transcripts = []
     for start in range(0, args.trials, SIMULATE_CHUNK):
         rngs = [np.random.default_rng(c)
-                for c in children[start:start + SIMULATE_CHUNK]]
+                for c in seeds.spawn(min(SIMULATE_CHUNK, args.trials - start))]
         alice_in = fixed_a if fixed_a is not None else qstate.random_state(1, rngs)
         bob_in = fixed_b if fixed_b is not None else qstate.random_state(1, rngs)
-        try:
-            transcripts += run_bcst(spec, alice_in, bob_in, rng=rngs)[2]
-        except (ProtocolError, ValueError) as exc:
-            return _fail(EXIT_INPUT, str(exc))
+        transcripts += run_bcst(spec, alice_in, bob_in, rng=rngs)[2]
     worst = min(min(tr.fidelity_bob, tr.fidelity_alice) for tr in transcripts)
     lines = [
         f"trial {t}: m={tr.charlie_outcome} smo_a={tr.smo_alice.bits} "
@@ -225,17 +192,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.export:
-        try:
-            e = catalog.entry(args.export)
-        except KeyError as exc:
-            return _fail(EXIT_INPUT, str(exc))
-        text = specdoc.serialize_spec(e.spec)
+        text = specdoc.serialize_spec(catalog.entry(args.export).spec)
         if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                return _fail(EXIT_INPUT, str(exc))
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
@@ -255,39 +215,19 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    try:
-        state = specdoc.read_amplitude_file(args.amplitude_file)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except specdoc.SpecDocumentError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-
-    from .bases import bell_basis, ghz_basis
+    state = specdoc.read_amplitude_file(args.amplitude_file)
     pb = bell_basis() if args.pair_basis == "bell" else ghz_basis()
     l = state.num_qubits - 2 * pb.p
     if l < 1:
         return _fail(EXIT_INPUT,
                      f"{state.num_qubits} qubits leave no controller register")
-
     layout = None
     if args.layout:
-        roles = tuple(r.strip() for r in args.layout.split(","))
-        if len(roles) != state.num_qubits:
-            return _fail(EXIT_INPUT, "layout does not match the register size")
-        from .channel import QubitLayout
-        layout = QubitLayout(roles)
-        l = len(layout.controller_positions)
-        if l < 1:
-            return _fail(EXIT_INPUT, "layout names no controller qubits")
-
+        layout = QubitLayout(tuple(r.strip() for r in args.layout.split(",")))
     candidates = None
     if args.candidates:
-        candidates = []
-        for name in args.candidates.split(","):
-            try:
-                candidates.append(controller_basis(name.strip(), l))
-            except ValueError as exc:
-                return _fail(EXIT_INPUT, str(exc))
+        candidates = [controller_basis(name.strip(), l)
+                      for name in args.candidates.split(",")]
 
     spec = catalog.recognize(state, layout, candidates, pb)
     if spec is None:
@@ -299,10 +239,6 @@ def cmd_recognize(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        qstate.TOLERANCE  # read BCST_TOLERANCE now, whatever the subcommand
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
     handler = {
         "build": cmd_build,
         "census": cmd_census,
@@ -310,7 +246,16 @@ def main(argv=None) -> int:
         "catalog": cmd_catalog,
         "recognize": cmd_recognize,
     }[args.command]
-    return handler(args)
+    try:
+        qstate.TOLERANCE  # read BCST_TOLERANCE now, whatever the subcommand
+        return handler(args)
+    # most specific class first: both of these are ValueErrors
+    except SelectionRuleError as exc:
+        return _fail(EXIT_RULE, str(exc))
+    except census.IntractableError as exc:
+        return _fail(EXIT_INTRACTABLE, str(exc))
+    except (OSError, ValueError, ProtocolError) as exc:
+        return _fail(EXIT_INPUT, str(exc))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 """Published channel catalog and the spec recognizer."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,22 @@ def test_recognize_rejects_wrong_layout():
     state = reconstruct(entry("zha5"))
     wrong = QubitLayout(("C1", "A1", "B1", "A2", "B2"))
     assert recognize(state, wrong) is None
+
+
+@pytest.mark.parametrize("entry_id", ["zha5", "six3", "seven"])
+def test_recognize_reads_every_role_order_by_name(entry_id):
+    # 120, 720 and 5040 role orders: each names its qubits truthfully, so
+    # each gives back the canonical register's spec
+    e = entry(entry_id)
+    state, layout = reconstruct(e), bcst_layout(2, e.spec.controller.l)
+    canonical = recognize(state)
+    assert spec_key(canonical) == spec_key(e.spec)
+    want = serialize_spec(canonical)
+    for roles in itertools.permutations(layout.roles):
+        moved, moved_layout = apply_layout(state, layout, roles)
+        got = recognize(moved, moved_layout)
+        assert got is not None, roles
+        assert serialize_spec(got) == want, roles
 
 
 @pytest.mark.parametrize("entry_id", [i for i in ALL_IDS if i != "six4b"])
@@ -329,13 +347,13 @@ def test_recognize_matches_the_reference(spec, random):
     assert recovered is not None
     assert spec_key(recovered) == spec_key(spec)
     assert_agrees_with_reference(state, layout, spec.pair_basis)
-    # layouts are read by position (controller roles, then the pairs in
-    # order), so a permuted register need not give back the built spec, but
-    # it must give what the reference gives
+    # layouts are read by role name, so a permuted register gives back the
+    # very spec the canonical register gives
     roles = list(layout.roles)
     random.shuffle(roles)
     moved, moved_layout = apply_layout(state, layout, roles)
-    assert_agrees_with_reference(moved, moved_layout, spec.pair_basis)
+    moved_spec = recognize(moved, moved_layout, pair_basis=spec.pair_basis)
+    assert serialize_spec(moved_spec) == serialize_spec(recovered)
 
 
 def test_repeated_cell_decomposition_is_no_longer_recognized():

@@ -18,6 +18,7 @@ from bcst.cli import (
     EXIT_RULE,
     EXIT_UNRECOGNIZED,
     EXIT_WRONG_KIND,
+    SIMULATE_CHUNK,
     main,
 )
 from bcst.catalog import catalog_entries, entry, reconstruct
@@ -466,3 +467,113 @@ def test_recognize_bad_candidate_family(tmp_path, capsys):
     code, _, err = run_cli(capsys, "recognize", str(amp_file),
                            "--candidates", "bogus")
     assert code == EXIT_INPUT
+
+
+# ---- the failure table ---------------------------------------------------------
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Paths for the failure cases, by name; the nope.* files do not exist."""
+    files = {name: tmp_path / name for name in (
+        "zha5.json", "li5.json", "cqsdc5.json", "qd.json", "broken.json",
+        "bogus.json", "repeated-role.json", "zha5.amps", "unnormalized.amps",
+        "nope.json", "nope.amps")}
+    for eid in ("zha5", "li5", "cqsdc5"):
+        files[f"{eid}.json"].write_text(serialize_spec(entry(eid).spec))
+    files["qd.json"].write_text(json.dumps(
+        {"version": 1, "kind": "qd", "pair_basis": "bell", "selection": [1, 2],
+         "phases": [1, 1], "controller": {"family": "computational", "l": 1}}))
+    files["broken.json"].write_text('{\n "version": 1,\n "kind": zzz\n}\n')
+    doc = json.loads(serialize_spec(entry("zha5").spec))
+    doc["bogus"] = 1
+    files["bogus.json"].write_text(json.dumps(doc))
+    files["repeated-role.json"].write_text(serialize_spec(
+        entry("zha5").spec, layout=("A1", "A1", "B1", "B2", "C1")))
+    write_amplitude_file(files["zha5.amps"], reconstruct(entry("zha5")))
+    files["unnormalized.amps"].write_text("0 1.0 0.0\n1 1.0 0.0\n")
+    files["missing"] = tmp_path / "missing" / "out"
+    return files
+
+
+# every documented failure that prints an `error:` line: argv (file names
+# are keys of `inputs`), exit code, and a piece of the message
+FAILURES = [
+    (("simulate", "zha5.json", "--trials", "abc"), EXIT_INPUT, "invalid int value"),
+    (("build", "nope.json", "missing"), EXIT_INPUT, "No such file"),
+    (("build", "broken.json", "missing"), EXIT_INPUT, "line 3"),
+    (("build", "bogus.json", "missing"), EXIT_INPUT, "(field 'bogus')"),
+    (("build", "cqsdc5.json", "missing"), EXIT_RULE, "Rule 1"),
+    (("build", "zha5.json", "missing"), EXIT_INPUT, "missing"),
+    (("build", "repeated-role.json", "missing"), EXIT_INPUT, "not a permutation"),
+    (("census", "2", "8", "--oracle"), EXIT_INTRACTABLE, "exceed the exhaustive limit"),
+    (("census", "2", "7"), EXIT_INTRACTABLE, "exhaustive counters skipped"),
+    (("census", "-1", "3", "--oracle"), EXIT_INPUT, "need p >= 1 and n >= 2"),
+    (("census", "2", "1"), EXIT_INPUT, "need p >= 1 and n >= 2"),
+    (("census", "2", "17", "--formula"), EXIT_INPUT, "cannot select 17"),
+    (("census", "100", "100"), EXIT_INPUT, "a count of 6021 digits is past the"),
+    (("census", "100", "100", "--formula"), EXIT_INPUT,
+     "a count of 6021 digits is past the"),
+    (("simulate", "zha5.json", "--trials", "0"), EXIT_INPUT, "--trials must be"),
+    (("simulate", "zha5.json", "--trials", "100000000000000000000"), EXIT_INPUT,
+     "is too large"),
+    (("simulate", "zha5.json", "--seed", "-1"), EXIT_INPUT, "--seed must be"),
+    (("simulate", "nope.json"), EXIT_INPUT, "No such file"),
+    (("simulate", "bogus.json"), EXIT_INPUT, "(field 'bogus')"),
+    (("simulate", "qd.json"), EXIT_WRONG_KIND, "this one is qd"),
+    (("simulate", "zha5.json", "--alice-state", "1,2"), EXIT_INPUT, "re,im,re,im"),
+    (("simulate", "zha5.json", "--alice-state", "a,b,c,d"), EXIT_INPUT,
+     "could not convert"),
+    (("simulate", "li5.json", "--trials", "2", "--require-both-controlled"),
+     EXIT_CONTROL, "first-only"),
+    (("catalog", "--export", "nope"), EXIT_INPUT, "error: no catalog entry 'nope'\n"),
+    (("catalog", "--export", "seven", "--out", "missing"), EXIT_INPUT, "missing"),
+    (("recognize", "nope.amps"), EXIT_INPUT, "No such file"),
+    (("recognize", "unnormalized.amps"), EXIT_INPUT, "norm"),
+    (("recognize", "zha5.amps", "--pair-basis", "ghz"), EXIT_INPUT,
+     "no controller register"),
+    (("recognize", "zha5.amps", "--candidates", "bogus"), EXIT_INPUT, "bogus"),
+    (("recognize", "zha5.amps", "--layout", "A1,A1,B1,B2,C1"), EXIT_INPUT,
+     "not a permutation"),
+    (("recognize", "zha5.amps", "--layout", "X,Y,Z,W,C1"), EXIT_INPUT,
+     "not a permutation"),
+    (("recognize", "zha5.amps", "--layout", "C1,C2,A1,B1,A2"), EXIT_INPUT,
+     "not a permutation"),
+    (("recognize", "zha5.amps", "--layout", "A1,B1"), EXIT_INPUT, "not a permutation"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", FAILURES,
+                         ids=[" ".join(argv) for argv, _, _ in FAILURES])
+def test_every_failure_exits_with_its_code_and_one_error_line(
+        capsys, inputs, argv, code, message):
+    argv = [str(inputs.get(a, a)) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    _, err = capsys.readouterr()
+    assert got == code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_simulate_spawns_one_pass_of_seeds_at_a_time(tmp_path, capsys, monkeypatch):
+    asked, children = [], []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            spawned = super().spawn(n_children)
+            children.extend(spawned)
+            return spawned
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    spec_file = tmp_path / "seven.json"
+    spec_file.write_text(serialize_spec(entry("seven").spec))
+    code, _, _ = run_cli(capsys, "simulate", str(spec_file), "--trials", "70")
+    assert code == EXIT_OK
+    assert max(asked) <= SIMULATE_CHUNK and sum(asked) == 70
+    # the same children, in the same order, as one up-front spawn of 70
+    assert [c.spawn_key for c in children] == [(t,) for t in range(70)]
