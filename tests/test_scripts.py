@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/: each `main` runs at small sizes."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,19 @@ def test_channel_trials_prints_one_line_per_spec(capsys, argv, names):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0] for ln in lines] == names
     assert all("worst fidelity 1.000000000000000" in ln for ln in lines)
+
+
+def test_golden_cli_corpus_is_reproduced(tmp_path, capsys):
+    """Regenerates the corpus (every case through `bcst.cli.main` in process)
+    and compares it case by case with tests/data/cli_golden.json."""
+    golden = load("golden_cli")
+    out = tmp_path / "corpus.json"
+    assert golden.main(["--out", str(out)]) == 0
+    want, got = json.loads(golden.CORPUS.read_text()), json.loads(out.read_text())
+    assert sorted(got["files"]) == sorted(want["files"])
+    assert [name for name in want["files"]
+            if got["files"][name] != want["files"][name]] == []
+    assert [c["argv"] for c in got["cases"]] == [c["argv"] for c in want["cases"]]
+    changed = [(" ".join(w["argv"]), w, g)
+               for w, g in zip(want["cases"], got["cases"]) if w != g]
+    assert changed == []
