@@ -8,7 +8,7 @@ input files no case writes are stored in the corpus as text.  Each case
 records its exit code, the sha256 of its stdout, its stderr as text when that
 is at most one line (else its sha256), and the sha256 of every file it wrote.
 
-    PYTHONPATH=src python scripts/golden_cli.py [--out PATH]
+    PYTHONPATH=src python scripts/golden_cli.py
 
 A change that regenerates the corpus names every case whose record changed,
 and why.
@@ -58,6 +58,11 @@ def _amplitude_text(state) -> str:
         return path.read_text()
 
 
+def _layout_doc(eid: str, roles: str | None) -> str:
+    layout = tuple(roles.split(",")) if roles else None
+    return serialize_spec(entry(eid).spec, layout=layout)
+
+
 def corpus_inputs() -> dict[str, str]:
     """Input files, by name, that no case writes."""
     comp1 = {"family": "computational", "l": 1}
@@ -83,11 +88,6 @@ def corpus_inputs() -> dict[str, str]:
     for eid, roles in SHUFFLED_LAYOUTS:
         files[f"{eid}-shuffled.json"] = _layout_doc(eid, roles)
     return files
-
-
-def _layout_doc(eid: str, roles: str | None) -> str:
-    layout = tuple(roles.split(",")) if roles else None
-    return serialize_spec(entry(eid).spec, layout=layout)
 
 
 def corpus_argvs() -> list[list[str]]:
@@ -181,12 +181,15 @@ def run_case(argv: list[str], workdir: Path) -> dict:
     """One case's record: exit code, output hashes and the files it wrote."""
     before = _snapshot(workdir)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        try:
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
-        except SystemExit as exc:  # argparse usage errors and --help
-            code = exc.code
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = exc.code
+    finally:
+        os.chdir(cwd)
     after = _snapshot(workdir)
     stderr = err.getvalue()
     return {
@@ -220,15 +223,13 @@ def render(files: dict[str, str], records: list[dict]) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=CORPUS, help="corpus file to write")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     files = corpus_inputs()
     with tempfile.TemporaryDirectory() as tmp:
         records = run_corpus(files, corpus_argvs(), Path(tmp))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(render(files, records))
-    print(f"wrote {len(records)} cases to {args.out}")
+    CORPUS.parent.mkdir(parents=True, exist_ok=True)
+    CORPUS.write_text(render(files, records))
+    print(f"wrote {len(records)} cases to {CORPUS}")
     return 0
 
 

@@ -1,25 +1,28 @@
-"""Channel construction from ordered selections over the pair-product grid.
+"""Channel construction from ordered selections of pair-basis entries.
 
-A channel for two-way controlled teleportation is built from an ordered
-selection of n cells of the grid whose (i, j) cell holds the product
-|e_i>|e_j> of entangled-basis elements (1-based indices), one unit phase per
-term, and n orthonormal controller states:
+Every channel is built by one recipe: term m holds one entangled-basis
+element per slot (its selection entry lists their 1-based indices), a unit
+phase, and controller state a_m out of n orthonormal ones:
 
-    sum_m  phase_m / sqrt(n) * |e_{i_m}> |e_{j_m}> |a_m>
+    sum_m  phase_m / sqrt(n) * |e_{m,1}> ... |e_{m,d}> |a_m>
 
-Two structural rules make the controller's consent necessary in both
-teleportation directions: the selection must not sit entirely in one grid row
-or entirely in one column (a constant factor would decouple that direction),
-and no cell may repeat (collapse outcomes must pin down the term uniquely).
-The dialogue variant uses single indices i_m instead of cells, all distinct.
+The kind fixes the slot count d (SLOTS): two-way teleportation ("bcst") has
+a slot per direction, so its entries are cells (i, j) of the pair-product
+grid; controlled dialogue ("qd") shares one pair, so its entries are (i,).
 
-Register layout for Bell pairs is [A1, B1, A2, B2, C1..Cl]: the first pair's
-qubits go to Alice and Bob for the A->B direction, the second pair's for
-B->A, and the controller keeps the rest.
+Two structural rules make the controller's consent necessary in every
+direction: no slot may hold one index in all entries (for cells: one grid row
+or column, whose constant factor would decouple that direction), and no entry
+may repeat (collapse outcomes must pin down the term uniquely).
+
+The register holds each slot's pair in turn, then the controller: for Bell
+pairs [A1, B1, A2, B2, C1..Cl], the first pair going to Alice and Bob for the
+A->B direction, the second for B->A.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +31,10 @@ from . import qstate
 from .bases import ControllerBasis, EntangledBasis, bell_basis
 from .qstate import StateVector
 
+# pair-basis indices per selection entry, by channel kind
+SLOTS = {"bcst": 2, "qd": 1}
+
+Entry = tuple[int, ...]
 PairCell = tuple[int, int]
 
 
@@ -35,7 +42,7 @@ PairCell = tuple[int, int]
 class RuleViolation:
     rule: int
     message: str
-    offenders: tuple[PairCell, ...]
+    offenders: tuple[Entry, ...]
 
     def __str__(self) -> str:
         return f"Rule {self.rule}: {self.message}"
@@ -47,36 +54,39 @@ class SelectionRuleError(ValueError):
         self.violation = violation
 
 
+def _check_entries(entries: Sequence[Entry], slots: int, size: int) -> None:
+    """Raise unless every entry holds `slots` indices in 1..size."""
+    for entry in entries:
+        if len(entry) != slots:
+            raise ValueError(f"selection entry {entry} does not hold {slots} indices")
+        for i in entry:
+            if not 1 <= i <= size:
+                raise ValueError(f"index {i} outside the {size}-element basis")
+
+
 def validate_selection(
-    selection: Sequence[PairCell], grid_size: int
+    selection: Sequence[Sequence[int]], grid_size: int
 ) -> RuleViolation | None:
     """First violated structural rule, or None.
 
-    Rule 1 trips only when ALL cells share a row or ALL share a column;
-    partial concentration is allowed.  Rule 2 forbids duplicate cells.
-    Malformed input (n < 2, out-of-range indices) raises instead.
+    Rule 1 trips only when ALL entries share one slot's index (for cells: a
+    row or a column); partial concentration is allowed.  Rule 2 forbids
+    duplicate entries.  Malformed input (n < 2, entries of unequal length,
+    out-of-range indices) raises instead.
     """
-    cells = [(int(i), int(j)) for i, j in selection]
-    if len(cells) < 2:
+    entries = [tuple(int(i) for i in entry) for entry in selection]
+    if len(entries) < 2:
         raise ValueError("a selection needs at least 2 cells")
-    if len(cells) > grid_size * grid_size:
-        raise ValueError(
-            f"{len(cells)} cells cannot be selected from a {grid_size}x{grid_size} grid"
-        )
-    for i, j in cells:
-        if not (1 <= i <= grid_size and 1 <= j <= grid_size):
-            raise ValueError(f"cell ({i}, {j}) outside the {grid_size}x{grid_size} grid")
-    rows = {i for i, _ in cells}
-    cols = {j for _, j in cells}
-    if len(rows) == 1:
-        return RuleViolation(1, f"all cells sit in row {next(iter(rows))}", tuple(cells))
-    if len(cols) == 1:
-        return RuleViolation(1, f"all cells sit in column {next(iter(cols))}", tuple(cells))
-    seen: dict[PairCell, int] = {}
-    for m, cell in enumerate(cells):
-        if cell in seen:
-            return RuleViolation(2, f"duplicate cell {cell}", (cell,))
-        seen[cell] = m
+    slots = len(entries[0])
+    _check_entries(entries, slots, grid_size)
+    for s, name in zip(range(slots), ("row", "column")):
+        values = {entry[s] for entry in entries}
+        if len(values) == 1:
+            return RuleViolation(1, f"all cells sit in {name} {values.pop()}",
+                                 tuple(entries))
+    for k, entry in enumerate(entries):
+        if entry in entries[:k]:
+            return RuleViolation(2, f"duplicate cell {entry}", (entry,))
     return None
 
 
@@ -100,47 +110,42 @@ class QubitLayout:
         )
 
 
-def _pair_roles(p: int, which: int) -> list[str]:
-    if p == 2:
-        return [f"A{which}", f"B{which}"]
-    return [f"P{which}_{k}" for k in range(1, p + 1)]
+def canonical_layout(p: int, slots: int, l: int) -> QubitLayout:
+    """Roles of the p-qubit pair of each slot in turn, then C1..Cl; a Bell
+    pair's are A<slot>, B<slot>, any other pair's P<slot>_1..P<slot>_p."""
+    roles = [
+        role
+        for s in range(1, slots + 1)
+        for role in ((f"A{s}", f"B{s}") if p == 2
+                     else [f"P{s}_{k}" for k in range(1, p + 1)])
+    ]
+    return QubitLayout(tuple(roles + [f"C{k}" for k in range(1, l + 1)]))
 
 
 def bcst_layout(p: int, l: int) -> QubitLayout:
-    roles = _pair_roles(p, 1) + _pair_roles(p, 2) + [f"C{k}" for k in range(1, l + 1)]
-    return QubitLayout(tuple(roles))
-
-
-def qd_layout(p: int, l: int) -> QubitLayout:
-    roles = _pair_roles(p, 1) + [f"C{k}" for k in range(1, l + 1)]
-    return QubitLayout(tuple(roles))
+    return canonical_layout(p, SLOTS["bcst"], l)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """Everything needed to assemble a channel state.
 
-    kind is "bcst" (selection = cells (i, j)) or "qd" (selection = single
-    indices i).  controller is a complete basis; subset picks the ordered
-    controller states a_1..a_n out of it.
+    kind ("bcst" or "qd") fixes the slots per selection entry (SLOTS).
+    controller is a complete basis; subset picks the ordered controller
+    states a_1..a_n out of it.  Construction checks the structure (sizes,
+    ranges, unit phases, distinct keys, and for one slot distinct entries);
+    the rules are checked only by build_bcst_channel.
     """
 
     kind: str
     pair_basis: EntangledBasis
-    selection: tuple
+    selection: tuple[Entry, ...]
     phases: tuple[complex, ...]
     controller: ControllerBasis
     subset: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.selection)
-
-    def controller_states(self) -> tuple[StateVector, ...]:
-        return tuple(self.controller.elements[k] for k in self.subset)
-
-    def validate(self, *, require_rules: bool = True) -> None:
-        if self.kind not in ("bcst", "qd"):
+    def __post_init__(self) -> None:
+        if self.kind not in SLOTS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         n = self.n
         if n < 2:
@@ -159,24 +164,43 @@ class ChannelSpec:
         for ph in self.phases:
             if not abs(abs(complex(ph)) - 1.0) <= qstate.TOLERANCE:
                 raise ValueError(f"phase {ph} is not unit modulus")
-        size = self.pair_basis.size
-        if self.kind == "bcst":
-            for i, j in self.selection:
-                if not (1 <= int(i) <= size and 1 <= int(j) <= size):
-                    raise ValueError(f"cell ({i}, {j}) outside the {size}x{size} grid")
-            if require_rules:
-                violation = validate_selection(self.selection, size)
-                if violation is not None:
-                    raise SelectionRuleError(violation)
-        else:
-            idx = [int(i) for i in self.selection]
-            for i in idx:
-                if not 1 <= i <= size:
-                    raise ValueError(f"index {i} outside the {size}-element basis")
-            if len(set(idx)) != len(idx):
-                raise ValueError(
-                    "duplicate pair index breaks the outcome-to-term bijection"
-                )
+        _check_entries(self.selection, self.slots, self.pair_basis.size)
+        # one shared pair: a repeated entry leaves two terms that no
+        # measurement outcome tells apart
+        if self.slots == 1 and len(set(self.selection)) != n:
+            raise ValueError(
+                "duplicate pair index breaks the outcome-to-term bijection"
+            )
+
+    @property
+    def n(self) -> int:
+        return len(self.selection)
+
+    @property
+    def slots(self) -> int:
+        return SLOTS[self.kind]
+
+    def controller_states(self) -> tuple[StateVector, ...]:
+        return tuple(self.controller.elements[k] for k in self.subset)
+
+    def pair_vectors(self) -> list[np.ndarray]:
+        """Each term's pair product |e_{m,1}> ... |e_{m,d}>, as amplitudes."""
+        elems = self.pair_basis.elements
+        return [functools.reduce(np.kron, [elems[i - 1].amplitudes for i in entry])
+                for entry in self.selection]
+
+
+def _spec(kind, entries, controller, subset, phases, pair_basis) -> ChannelSpec:
+    sel = tuple(tuple(int(i) for i in entry) for entry in entries)
+    return ChannelSpec(
+        kind=kind,
+        pair_basis=pair_basis if pair_basis is not None else bell_basis(),
+        selection=sel,
+        phases=(1.0 + 0.0j,) * len(sel) if phases is None
+        else tuple(complex(p) for p in phases),
+        controller=controller,
+        subset=tuple(subset) if subset is not None else tuple(range(len(sel))),
+    )
 
 
 def bcst_spec(
@@ -186,15 +210,8 @@ def bcst_spec(
     phases: Sequence[complex] | None = None,
     pair_basis: EntangledBasis | None = None,
 ) -> ChannelSpec:
-    sel = tuple((int(i), int(j)) for i, j in selection)
-    return ChannelSpec(
-        kind="bcst",
-        pair_basis=pair_basis if pair_basis is not None else bell_basis(),
-        selection=sel,
-        phases=_default_phases(phases, len(sel)),
-        controller=controller,
-        subset=tuple(subset) if subset is not None else tuple(range(len(sel))),
-    )
+    """Two-way teleportation spec over the grid cells (i, j)."""
+    return _spec("bcst", selection, controller, subset, phases, pair_basis)
 
 
 def qd_spec(
@@ -204,73 +221,31 @@ def qd_spec(
     phases: Sequence[complex] | None = None,
     pair_basis: EntangledBasis | None = None,
 ) -> ChannelSpec:
-    sel = tuple(int(i) for i in indices)
-    return ChannelSpec(
-        kind="qd",
-        pair_basis=pair_basis if pair_basis is not None else bell_basis(),
-        selection=sel,
-        phases=_default_phases(phases, len(sel)),
-        controller=controller,
-        subset=tuple(subset) if subset is not None else tuple(range(len(sel))),
-    )
-
-
-def _default_phases(phases, n: int) -> tuple[complex, ...]:
-    if phases is None:
-        return (1.0 + 0.0j,) * n
-    return tuple(complex(p) for p in phases)
-
-
-def _assemble(spec: ChannelSpec) -> tuple[StateVector, QubitLayout]:
-    n = spec.n
-    weight = 1.0 / np.sqrt(n)
-    ctrl = spec.controller_states()
-    elems = spec.pair_basis.elements
-    p, l = spec.pair_basis.p, spec.controller.l
-    if spec.kind == "bcst":
-        terms = (
-            np.kron(np.kron(elems[i - 1].amplitudes, elems[j - 1].amplitudes),
-                    ctrl[m].amplitudes)
-            for m, (i, j) in enumerate(spec.selection)
-        )
-        layout = bcst_layout(p, l)
-    else:
-        terms = (
-            np.kron(elems[i - 1].amplitudes, ctrl[m].amplitudes)
-            for m, i in enumerate(spec.selection)
-        )
-        layout = qd_layout(p, l)
-    amps = sum(spec.phases[m] * weight * t for m, t in enumerate(terms))
-    return StateVector(len(layout.roles), amps), layout
+    """Dialogue spec over single pair indices i; its entries are (i,)."""
+    return _spec("qd", ((i,) for i in indices), controller, subset, phases, pair_basis)
 
 
 def build_bcst_channel(spec: ChannelSpec) -> tuple[StateVector, QubitLayout]:
-    """Assemble the teleportation channel; structural rules are enforced."""
-    if spec.kind != "bcst":
-        raise ValueError(f"not a bcst spec (kind={spec.kind!r})")
-    spec.validate()
-    return _assemble(spec)
+    """Assemble the channel of any kind; structural rules are enforced."""
+    violation = validate_selection(spec.selection, spec.pair_basis.size)
+    if violation is not None:
+        raise SelectionRuleError(violation)
+    return build_bcst_channel_unchecked(spec)
 
 
 def build_bcst_channel_unchecked(spec: ChannelSpec) -> tuple[StateVector, QubitLayout]:
     """Assembly without the structural-rule gate.
 
     Needed to study what goes wrong with rule-violating selections (and to
-    reproduce published channels that have that defect).  Not reachable from
-    the command-line interface.
+    reproduce published channels that have that defect), and to run
+    protocols over them.  `build` on the command line always checks.
     """
-    if spec.kind != "bcst":
-        raise ValueError(f"not a bcst spec (kind={spec.kind!r})")
-    spec.validate(require_rules=False)
-    return _assemble(spec)
-
-
-def build_qd_channel(spec: ChannelSpec) -> tuple[StateVector, QubitLayout]:
-    """Assemble the dialogue channel (one shared pair plus controller)."""
-    if spec.kind != "qd":
-        raise ValueError(f"not a qd spec (kind={spec.kind!r})")
-    spec.validate()
-    return _assemble(spec)
+    weight = 1.0 / np.sqrt(spec.n)
+    ctrl = spec.controller_states()
+    amps = sum(spec.phases[m] * weight * np.kron(v, ctrl[m].amplitudes)
+               for m, v in enumerate(spec.pair_vectors()))
+    layout = canonical_layout(spec.pair_basis.p, spec.slots, spec.controller.l)
+    return StateVector(len(layout.roles), amps), layout
 
 
 def charlie_collapse_targets(spec: ChannelSpec, layout: QubitLayout) -> tuple[int, ...]:

@@ -24,10 +24,10 @@ from .channel import (
     QubitLayout,
     SelectionRuleError,
     apply_layout,
+    bcst_layout,
     build_bcst_channel,
-    build_qd_channel,
 )
-from .protocol import ProtocolError, run_bcst, verify_control
+from .protocol import ProtocolError, require_bell_pairs, run_bcst, verify_control
 from .qstate import StateVector, from_amplitudes
 
 EXIT_OK = 0
@@ -104,8 +104,7 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_build(args) -> int:
     spec, layout_override = specdoc.load_spec_document(args.spec_file)
-    build = build_bcst_channel if spec.kind == "bcst" else build_qd_channel
-    state, layout = build(spec)
+    state, layout = build_bcst_channel(spec)
     if layout_override is not None:
         state, layout = apply_layout(state, layout, layout_override)
     specdoc.write_amplitude_file(args.out_file, state)
@@ -152,6 +151,7 @@ def cmd_simulate(args) -> int:
     spec, _ = specdoc.load_spec_document(args.spec_file)
     if spec.kind != "bcst":
         return _fail(EXIT_WRONG_KIND, "simulate runs bcst specs; this one is qd")
+    require_bell_pairs(spec, "bcst")
     fixed_a = _parse_payload(args.alice_state) if args.alice_state else None
     fixed_b = _parse_payload(args.bob_state) if args.bob_state else None
 
@@ -223,7 +223,12 @@ def cmd_recognize(args) -> int:
                      f"{state.num_qubits} qubits leave no controller register")
     layout = None
     if args.layout:
-        layout = QubitLayout(tuple(r.strip() for r in args.layout.split(",")))
+        roles = tuple(r.strip() for r in args.layout.split(","))
+        canonical = bcst_layout(pb.p, l).roles
+        if sorted(roles) != sorted(canonical):
+            return _fail(EXIT_INPUT, f"--layout {args.layout} is not a permutation "
+                                     f"of {','.join(canonical)}")
+        layout = QubitLayout(roles)
     candidates = None
     if args.candidates:
         candidates = [controller_basis(name.strip(), l)

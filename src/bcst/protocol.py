@@ -15,12 +15,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import qstate
-from .bases import BellKind, ControllerBasis, bell, bell_basis, complete_basis
+from .bases import BellKind, bell, bell_basis, complete_basis
 from .channel import (
     ChannelSpec,
     QubitLayout,
     build_bcst_channel_unchecked,
-    build_qd_channel,
     charlie_collapse_targets,
 )
 from .qstate import StateVector
@@ -170,14 +169,11 @@ def _prepared(spec: ChannelSpec) -> _Prepared:
     """Assembled channel and completed controller basis of the last spec.
 
     A spec compares equal only to one holding the very same (immutable)
-    basis states, so a hit can never serve another spec's channel.  bcst
-    specs are assembled without the rule gate: rule-violating (one-sided
-    control) specs still teleport fine once the disclosure happens.
+    basis states, so a hit can never serve another spec's channel.  Specs
+    are assembled without the rule gate: rule-violating (one-sided control)
+    specs still teleport fine once the disclosure happens.
     """
-    if spec.kind == "bcst":
-        state, layout = build_bcst_channel_unchecked(spec)
-    else:
-        state, layout = build_qd_channel(spec)
+    state, layout = build_bcst_channel_unchecked(spec)
     subset = spec.controller_states()
     rest = tuple(
         spec.controller.elements[k]
@@ -246,6 +242,18 @@ class BcstTranscript:
         }
 
 
+def require_bell_pairs(spec: ChannelSpec, kind: str) -> None:
+    """Raise ProtocolError unless spec is a `kind` spec over Bell pairs, the
+    only pairs the correction and dialogue tables are defined for."""
+    if spec.kind != kind:
+        raise ProtocolError(f"this protocol needs a {kind} spec, not {spec.kind}")
+    if spec.pair_basis.name != "bell" or spec.pair_basis.p != 2:
+        raise ProtocolError(
+            "transmission is defined for Bell pairs only; this spec uses "
+            f"{spec.pair_basis.name!r}"
+        )
+
+
 def run_bcst(
     spec: ChannelSpec,
     alice_in: StateVector,
@@ -268,13 +276,7 @@ def run_bcst(
     its record does not depend on the other trials.  One trial is the batch
     of one.
     """
-    if spec.kind != "bcst":
-        raise ProtocolError("two-way teleportation needs a bcst channel spec")
-    if spec.pair_basis.name != "bell" or spec.pair_basis.p != 2:
-        raise ProtocolError(
-            "transmission is defined for Bell pairs only; this spec uses "
-            f"{spec.pair_basis.name!r}"
-        )
+    require_bell_pairs(spec, "bcst")
     if alice_in.num_qubits != 1 or bob_in.num_qubits != 1:
         raise ValueError("teleported payloads are single qubits")
     single = rng is None or isinstance(rng, np.random.Generator)
@@ -406,12 +408,7 @@ def verify_control(spec: ChannelSpec, *, purity_tol: float = 1e-9) -> ControlRep
 
     # pre-disclosure pair state must be the uniform mixture over terms
     rho = qstate.partial_trace(state, group1 + group2)
-    elems = spec.pair_basis.elements
-    mix = np.zeros_like(rho.entries)
-    for m in range(spec.n):
-        i, j = spec.selection[m]
-        v = np.kron(elems[i - 1].amplitudes, elems[j - 1].amplitudes)
-        mix = mix + np.outer(v, v.conj()) / spec.n
+    mix = sum(np.outer(v, v.conj()) / spec.n for v in spec.pair_vectors())
     dist = qstate.trace_distance(rho, qstate.DensityMatrix(2 * p, mix))
 
     return ControlReport(
@@ -501,10 +498,7 @@ def qd_round(
     and one's own operation determines the other party's bits exactly.
     Returns (alice_bits as decoded by Bob, bob_bits as decoded by Alice, m).
     """
-    if spec.kind != "qd":
-        raise ProtocolError("dialogue needs a qd channel spec")
-    if spec.pair_basis.name != "bell" or spec.pair_basis.p != 2:
-        raise ProtocolError("the encoding set is defined for Bell pairs only")
+    require_bell_pairs(spec, "qd")
     alice_bits = (int(alice_bits[0]), int(alice_bits[1]))
     bob_bits = (int(bob_bits[0]), int(bob_bits[1]))
     for b in (*alice_bits, *bob_bits):
@@ -513,7 +507,8 @@ def qd_round(
 
     state, layout, _ = _prepared(spec)
     m, _, pair = charlie_disclose(state, spec, layout, rng)
-    initial = BellKind(spec.selection[m] - 1)
+    (i,) = spec.selection[m]
+    initial = BellKind(i - 1)
 
     u_b = QD_ENCODING[bob_bits]
     u_a = QD_ENCODING[alice_bits]

@@ -1,10 +1,12 @@
 """Channel spec documents (JSON) and amplitude files (plain text).
 
 A spec document carries: version, kind ("bcst" | "qd"), pair_basis ("bell" |
-"ghz"), selection ([[i, j], ...] 1-based, or [i, ...] for dialogue), phases
-(+-1, or [re, im]), controller (a named family with an ordered subset, or
-explicit custom states), and an optional layout override (role-name
-permutation of the canonical register order).  Any other field, and an `l`
+"ghz"), selection (one entry per term: its 1-based pair-basis index per
+slot, written [i, j] for the two slots of bcst and as a bare i for the one
+slot of qd, which reads as (i,)), phases (+-1, or [re, im]), controller (a
+named family with an ordered subset, or explicit custom states), and an
+optional layout override (role-name permutation of the canonical register
+order).  Any other field, and an `l`
 that contradicts a `ghz` or `axes:<a>` family, is an error.
 
 Amplitudes in custom controllers may be written exactly as integer multiples
@@ -21,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .bases import bell_basis, controller_basis, custom_controller_basis, ghz_basis
-from .channel import ChannelSpec, bcst_layout, qd_layout
+from .channel import SLOTS, ChannelSpec
 from .qstate import StateVector, from_amplitudes
 
 DOCUMENT_VERSION = 1
@@ -95,6 +97,9 @@ _DOCUMENT_FIELDS = ("version", "kind", "pair_basis", "selection", "phases",
                    "controller", "layout")
 _FAMILY_CONTROLLER_FIELDS = ("family", "subset", "l")
 _CUSTOM_CONTROLLER_FIELDS = ("custom", "subset")
+# what a selection entry must look like, by slot count
+_ENTRY_FORMS = {1: "dialogue selection entries are single 1-based indices",
+                2: "each selection entry is a 1-based [i, j] pair"}
 
 
 def _reject_unknown(raw: dict, known: tuple[str, ...], what: str, prefix: str = ""):
@@ -109,30 +114,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _parse_phase(raw, field: str) -> complex:
+def _parse_phase(raw, field: str,
+                 forms: str = "phase must be a number or an [re, im] pair") -> complex:
+    """A number, or an [re, im] pair of scalars; else an error saying `forms`."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return complex(raw)
     if isinstance(raw, list) and len(raw) == 2:
         return complex(
             sqrt2_decode(raw[0], field=field), sqrt2_decode(raw[1], field=field)
         )
-    raise SpecDocumentError(
-        "phase must be a number or an [re, im] pair", field=field
-    )
+    raise SpecDocumentError(forms, field=field)
 
 
 def _parse_amplitude(raw, field: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
     if isinstance(raw, dict):
         return complex(sqrt2_decode(raw, field))
-    if isinstance(raw, list) and len(raw) == 2:
-        return complex(
-            sqrt2_decode(raw[0], field=field), sqrt2_decode(raw[1], field=field)
-        )
-    raise SpecDocumentError(
-        "amplitude must be a number, [re, im] pair, or symbolic scalar", field=field
-    )
+    return _parse_phase(
+        raw, field, "amplitude must be a number, [re, im] pair, or symbolic scalar")
 
 
 def _parse_controller(raw, n: int):
@@ -231,7 +229,7 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
             f"unsupported version {version!r}", field="version"
         )
     kind = _require(doc, "kind")
-    if kind not in ("bcst", "qd"):
+    if not isinstance(kind, str) or kind not in SLOTS:
         raise SpecDocumentError(f"kind must be bcst or qd, got {kind!r}", field="kind")
     basis_name = _require(doc, "pair_basis")
     if basis_name == "bell":
@@ -248,29 +246,17 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
         raise SpecDocumentError(
             "selection must list at least two entries", field="selection"
         )
-    selection: tuple
-    if kind == "bcst":
-        cells = []
-        for k, it in enumerate(raw_sel):
-            if (
-                not isinstance(it, list)
-                or len(it) != 2
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in it)
-            ):
-                raise SpecDocumentError(
-                    "each selection entry is a 1-based [i, j] pair",
-                    field=f"selection[{k}]",
-                )
-            cells.append((it[0], it[1]))
-        selection = tuple(cells)
-    else:
-        for k, it in enumerate(raw_sel):
-            if not isinstance(it, int) or isinstance(it, bool):
-                raise SpecDocumentError(
-                    "dialogue selection entries are single 1-based indices",
-                    field=f"selection[{k}]",
-                )
-        selection = tuple(raw_sel)
+    slots = SLOTS[kind]
+    selection = []
+    for k, it in enumerate(raw_sel):
+        entry = [it] if slots == 1 else it
+        if (
+            not isinstance(entry, list)
+            or len(entry) != slots
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)
+        ):
+            raise SpecDocumentError(_ENTRY_FORMS[slots], field=f"selection[{k}]")
+        selection.append(tuple(entry))
     n = len(selection)
 
     raw_phases = doc.get("phases", [1] * n)
@@ -292,16 +278,15 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
             )
         layout = tuple(layout)
 
-    spec = ChannelSpec(
-        kind=kind,
-        pair_basis=pb,
-        selection=selection,
-        phases=phases,
-        controller=controller,
-        subset=subset,
-    )
     try:
-        spec.validate(require_rules=False)
+        spec = ChannelSpec(
+            kind=kind,
+            pair_basis=pb,
+            selection=tuple(selection),
+            phases=phases,
+            controller=controller,
+            subset=subset,
+        )
     except ValueError as exc:
         raise SpecDocumentError(str(exc))
     return spec, layout
@@ -328,9 +313,8 @@ def serialize_spec(
         "version": DOCUMENT_VERSION,
         "kind": spec.kind,
         "pair_basis": spec.pair_basis.name,
-        "selection": [list(c) for c in spec.selection]
-        if spec.kind == "bcst"
-        else list(spec.selection),
+        "selection": [entry[0] if spec.slots == 1 else list(entry)
+                      for entry in spec.selection],
         "phases": [_encode_phase(complex(p)) for p in spec.phases],
     }
     name = spec.controller.name

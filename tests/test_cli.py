@@ -346,6 +346,19 @@ def test_simulate_rejects_dialogue_specs(tmp_path, capsys):
     assert code == EXIT_WRONG_KIND
 
 
+def test_simulate_rejects_ghz_pairs_before_any_output(tmp_path, capsys):
+    doc = {"version": 1, "kind": "bcst", "pair_basis": "ghz",
+           "selection": [[1, 1], [2, 2]], "phases": [1, 1],
+           "controller": {"family": "hadamard-product", "l": 1}}
+    spec_file = tmp_path / "ghz.json"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(spec_file))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == ("error: transmission is defined for Bell pairs only; "
+                   "this spec uses 'ghz'\n")
+
+
 def test_simulate_control_requirement(tmp_path, capsys):
     spec_file = tmp_path / "li.json"
     spec_file.write_text(serialize_spec(entry("li5").spec))
@@ -506,6 +519,10 @@ FAILURES = [
     (("build", "zha5.json", "missing"), EXIT_INPUT, "missing"),
     (("build", "repeated-role.json", "missing"), EXIT_INPUT, "not a permutation"),
     (("census", "2", "8", "--oracle"), EXIT_INTRACTABLE, "exceed the exhaustive limit"),
+    (("census", "100", "100", "--oracle"), EXIT_INTRACTABLE,
+     "^100 tuples exceed the exhaustive limit"),
+    (("census", "100", "1000000000", "--oracle"), EXIT_INTRACTABLE,
+     "^1000000000 tuples exceed the exhaustive limit"),
     (("census", "2", "7"), EXIT_INTRACTABLE, "exhaustive counters skipped"),
     (("census", "-1", "3", "--oracle"), EXIT_INPUT, "need p >= 1 and n >= 2"),
     (("census", "2", "1"), EXIT_INPUT, "need p >= 1 and n >= 2"),
@@ -535,7 +552,7 @@ FAILURES = [
     (("recognize", "zha5.amps", "--layout", "A1,A1,B1,B2,C1"), EXIT_INPUT,
      "not a permutation"),
     (("recognize", "zha5.amps", "--layout", "X,Y,Z,W,C1"), EXIT_INPUT,
-     "not a permutation"),
+     "error: --layout X,Y,Z,W,C1 is not a permutation of A1,B1,A2,B2,C1\n"),
     (("recognize", "zha5.amps", "--layout", "C1,C2,A1,B1,A2"), EXIT_INPUT,
      "not a permutation"),
     (("recognize", "zha5.amps", "--layout", "A1,B1"), EXIT_INPUT, "not a permutation"),

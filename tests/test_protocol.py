@@ -429,12 +429,11 @@ def test_run_bcst_discloses_through_charlie_disclose(monkeypatch):
     assert tr.charlie_outcome < entry("seven").spec.n
 
 
-def test_dialogue_memo_never_uses_the_bcst_builder(monkeypatch):
+def test_dialogue_memo_builds_the_channel_once(monkeypatch):
+    # every kind goes through the one builder, once per spec
     protocol._prepared.cache_clear()
-    bcst_builds = count_calls(monkeypatch, "build_bcst_channel_unchecked")
-    qd_builds = count_calls(monkeypatch, "build_qd_channel")
+    builds = count_calls(monkeypatch, "build_bcst_channel_unchecked")
     for seed in range(3):
         decoded_alice, decoded_bob, _ = qd_round(QD, (0, 1), (1, 0), seeded(seed))
         assert decoded_alice == (0, 1) and decoded_bob == (1, 0)
-    assert bcst_builds == []
-    assert len(qd_builds) == 1
+    assert builds == [(QD,)]

@@ -64,7 +64,8 @@ def test_round_trip_preserves_qd_documents():
     spec = qd_spec([1, 2], controller_basis("computational", 1))
     parsed, _ = parse_spec_document(serialize_spec(spec))
     assert parsed.kind == "qd"
-    assert parsed.selection == (1, 2)
+    assert parsed.selection == ((1,), (2,))
+    assert json.loads(serialize_spec(parsed))["selection"] == [1, 2]
 
 
 def test_round_trip_preserves_custom_controllers():
@@ -111,11 +112,12 @@ def test_parse_error_names_the_field():
 def test_parse_rejects_unknown_version_and_kind():
     with pytest.raises(SpecDocumentError):
         parse_spec_document(json.dumps({"version": 2, "kind": "bcst"}))
-    doc = {"version": 1, "kind": "teleport", "pair_basis": "bell",
-           "selection": [[1, 1], [2, 2]], "phases": [1, 1],
-           "controller": {"family": "computational", "l": 1}}
-    with pytest.raises(SpecDocumentError):
-        parse_spec_document(json.dumps(doc))
+    for kind in ("teleport", ["bcst"]):
+        doc = {"version": 1, "kind": kind, "pair_basis": "bell",
+               "selection": [[1, 1], [2, 2]], "phases": [1, 1],
+               "controller": {"family": "computational", "l": 1}}
+        with pytest.raises(SpecDocumentError, match="kind must be"):
+            parse_spec_document(json.dumps(doc))
 
 
 def _doc(**controller):
