@@ -6,8 +6,8 @@ slot, written [i, j] for the two slots of bcst and as a bare i for the one
 slot of qd, which reads as (i,)), phases (+-1, or [re, im]), controller (a
 named family with an ordered subset, or explicit custom states), and an
 optional layout override (role-name permutation of the canonical register
-order).  Any other field, and an `l`
-that contradicts a `ghz` or `axes:<a>` family, is an error.
+order).  Any other field, and an `l` that contradicts a `ghz` or `axes:<a>`
+family, is an error.
 
 Amplitudes in custom controllers may be written exactly as integer multiples
 of powers of 1/sqrt(2): {"num": k, "den_sqrt2_power": p} denotes
@@ -114,8 +114,7 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _parse_phase(raw, field: str,
-                 forms: str = "phase must be a number or an [re, im] pair") -> complex:
+def _parse_complex(raw, field: str, forms: str) -> complex:
     """A number, or an [re, im] pair of scalars; else an error saying `forms`."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return complex(raw)
@@ -129,7 +128,7 @@ def _parse_phase(raw, field: str,
 def _parse_amplitude(raw, field: str) -> complex:
     if isinstance(raw, dict):
         return complex(sqrt2_decode(raw, field))
-    return _parse_phase(
+    return _parse_complex(
         raw, field, "amplitude must be a number, [re, im] pair, or symbolic scalar")
 
 
@@ -265,7 +264,8 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
             f"phases must list {n} values", field="phases"
         )
     phases = tuple(
-        _parse_phase(p, field=f"phases[{k}]") for k, p in enumerate(raw_phases)
+        _parse_complex(p, f"phases[{k}]", "phase must be a number or an [re, im] pair")
+        for k, p in enumerate(raw_phases)
     )
 
     controller, subset = _parse_controller(_require(doc, "controller"), n)
