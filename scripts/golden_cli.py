@@ -51,6 +51,11 @@ def _doc(kind, pair_basis, selection, controller, **extra):
     return json.dumps(dict(doc, **extra)) + "\n"
 
 
+def _sqrt2(num: int, power: int) -> dict:
+    """The symbolic scalar num / sqrt(2)^power of a spec document."""
+    return {"num": num, "den_sqrt2_power": power}
+
+
 def _amplitude_text(state) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.amps"
@@ -67,6 +72,9 @@ def corpus_inputs() -> dict[str, str]:
     """Input files, by name, that no case writes."""
     comp1 = {"family": "computational", "l": 1}
     zha5 = json.loads(_layout_doc("zha5", None))
+    half = _sqrt2(1, 1)
+    # |+> and |-> written symbolically, the second as [re, im] pairs
+    custom = {"custom": [[half, half], [[half, 0], [_sqrt2(-1, 1), 0]]]}
     files = {
         "qd.json": _doc("qd", "bell", [1, 2], comp1),
         "qd-ghz.json": _doc("qd", "ghz", [1, 2], comp1),
@@ -82,6 +90,14 @@ def corpus_inputs() -> dict[str, str]:
         "repeated-role.json": _layout_doc("zha5", "A1,A1,B1,B2,C1"),
         "unnormalized.amps": "0 1.0 0.0\n1 1.0 0.0\n",
         "noise.amps": _amplitude_text(qstate.random_state(5, np.random.default_rng(3))),
+        "custom.json": _doc("bcst", "bell", [[1, 1], [2, 3]], custom,
+                            phases=[1, [half, half]]),
+        "bare-phase.json": _doc("bcst", "bell", [[1, 1], [2, 3]], comp1,
+                                phases=[1, _sqrt2(-2, 2)]),
+        "bad-phase.json": _doc("bcst", "bell", [[1, 1], [2, 3]], comp1,
+                               phases=[1, "abc"]),
+        "qd4.json": _doc("qd", "bell", [1, 2, 3, 4],
+                         {"family": "computational", "l": 2}),
     }
     for eid in RULE_VIOLATORS:
         files[f"{eid}.amps"] = _amplitude_text(reconstruct(entry(eid)))
@@ -164,6 +180,18 @@ def corpus_argvs() -> list[list[str]]:
         ["recognize", "zha5.amps", "--layout", "X,Y,Z,W,C1"],
         ["recognize", "zha5.amps", "--layout", "C1,C2,A1,B1,A2"],
         ["recognize", "zha5.amps", "--layout", "A1,B1"],
+    ]
+    # custom controllers, symbolic scalars, a document's own layout, and a
+    # dialogue channel read back
+    cases += [
+        ["build", "custom.json", "custom.amps"],
+        ["simulate", "custom.json", "--trials", "3"],
+        ["recognize", "custom.amps"],
+        ["build", "bare-phase.json", "bare-phase.amps"],
+        ["build", "bad-phase.json", "x.amps"],
+        ["simulate", "repeated-role.json"],
+        ["build", "qd4.json", "qd4.amps"],
+        ["recognize", "qd4.amps"],
     ]
     return cases
 
