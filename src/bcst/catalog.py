@@ -39,7 +39,6 @@ from .channel import (
     apply_layout,
     bcst_layout,
     bcst_spec,
-    build_bcst_channel,
     build_bcst_channel_unchecked,
     validate_selection,
 )
@@ -125,11 +124,9 @@ def entry(entry_id: str) -> CatalogEntry:
 
 
 def reconstruct(e: CatalogEntry) -> StateVector:
-    """Channel state from the entry's spec (bypassing rules when flagged)."""
-    if e.rule_violation is None:
-        state, _ = build_bcst_channel(e.spec)
-    else:
-        state, _ = build_bcst_channel_unchecked(e.spec)
+    """Channel state from the entry's spec, as printed: the entry already
+    records its rule verdict, so the rule gate is not consulted again."""
+    state, _ = build_bcst_channel_unchecked(e.spec)
     return state
 
 

@@ -64,6 +64,12 @@ def _check_entries(entries: Sequence[Entry], slots: int, size: int) -> None:
                 raise ValueError(f"index {i} outside the {size}-element basis")
 
 
+# how rule messages word a selection, by slot count: a phrase per slot for
+# Rule 1 (the grid row and column of a cell), and one entry for Rule 2
+_RULE_WORDS = {2: (("cells sit in row", "cells sit in column"), "cell {0}"),
+               1: (("terms hold pair index",), "pair index {0[0]}")}
+
+
 def validate_selection(
     selection: Sequence[Sequence[int]], grid_size: int
 ) -> RuleViolation | None:
@@ -79,14 +85,14 @@ def validate_selection(
         raise ValueError("a selection needs at least 2 cells")
     slots = len(entries[0])
     _check_entries(entries, slots, grid_size)
-    for s, name in zip(range(slots), ("row", "column")):
+    slot_words, entry_words = _RULE_WORDS[slots]
+    for s, words in enumerate(slot_words):
         values = {entry[s] for entry in entries}
         if len(values) == 1:
-            return RuleViolation(1, f"all cells sit in {name} {values.pop()}",
-                                 tuple(entries))
+            return RuleViolation(1, f"all {words} {values.pop()}", tuple(entries))
     for k, entry in enumerate(entries):
         if entry in entries[:k]:
-            return RuleViolation(2, f"duplicate cell {entry}", (entry,))
+            return RuleViolation(2, "duplicate " + entry_words.format(entry), (entry,))
     return None
 
 
@@ -100,14 +106,24 @@ class QubitLayout:
     def controller_positions(self) -> tuple[int, ...]:
         return tuple(k for k, r in enumerate(self.roles) if r.startswith("C"))
 
-    def pair_groups(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Positions of the first and second pair's qubits, in role order."""
-        non_ctrl = [r for r in self.roles if not r.startswith("C")]
-        p = len(non_ctrl) // 2
-        return (
-            tuple(self.roles.index(r) for r in non_ctrl[:p]),
-            tuple(self.roles.index(r) for r in non_ctrl[p:]),
-        )
+    def pair_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of each slot's pair qubits, slot 1 first, each pair in
+        role order (A before B, P<s>_1 before P<s>_2).  A role's slot is the
+        number in its name: A2, B2 and P2_1 belong to slot 2."""
+        slots: dict[int, list[tuple[int, str, int]]] = {}
+        for k, role in enumerate(self.roles):
+            if not role.startswith("C"):
+                slot, _, member = role[1:].partition("_")
+                slots.setdefault(int(slot), []).append((int(member or 0), role, k))
+        return tuple(tuple(k for *_, k in sorted(slots[s])) for s in sorted(slots))
+
+    def reordered(self, roles: Sequence[str]) -> QubitLayout:
+        """The layout of these roles, which must be a permutation of ours."""
+        roles = tuple(roles)
+        if sorted(roles) != sorted(self.roles):
+            raise ValueError(f"{','.join(roles)} is not a permutation "
+                             f"of {','.join(self.roles)}")
+        return QubitLayout(roles)
 
 
 def canonical_layout(p: int, slots: int, l: int) -> QubitLayout:
@@ -133,8 +149,8 @@ class ChannelSpec:
     kind ("bcst" or "qd") fixes the slots per selection entry (SLOTS).
     controller is a complete basis; subset picks the ordered controller
     states a_1..a_n out of it.  Construction checks the structure (sizes,
-    ranges, unit phases, distinct keys, and for one slot distinct entries);
-    the rules are checked only by build_bcst_channel.
+    ranges, unit phases, distinct keys); the rules are checked only by
+    build_bcst_channel.
     """
 
     kind: str
@@ -165,12 +181,6 @@ class ChannelSpec:
             if not abs(abs(complex(ph)) - 1.0) <= qstate.TOLERANCE:
                 raise ValueError(f"phase {ph} is not unit modulus")
         _check_entries(self.selection, self.slots, self.pair_basis.size)
-        # one shared pair: a repeated entry leaves two terms that no
-        # measurement outcome tells apart
-        if self.slots == 1 and len(set(self.selection)) != n:
-            raise ValueError(
-                "duplicate pair index breaks the outcome-to-term bijection"
-            )
 
     @property
     def n(self) -> int:
@@ -260,8 +270,6 @@ def apply_layout(
     state: StateVector, layout: QubitLayout, new_roles: Sequence[str]
 ) -> tuple[StateVector, QubitLayout]:
     """Permute the register into a new role order (same role names)."""
-    new_roles = tuple(new_roles)
-    if sorted(new_roles) != sorted(layout.roles):
-        raise ValueError(f"{new_roles} is not a permutation of {layout.roles}")
-    order = tuple(layout.roles.index(r) for r in new_roles)
-    return qstate.permute_qubits(state, order), QubitLayout(new_roles)
+    new = layout.reordered(new_roles)
+    order = tuple(layout.roles.index(r) for r in new.roles)
+    return qstate.permute_qubits(state, order), new

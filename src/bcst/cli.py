@@ -3,12 +3,13 @@
 Exit codes are disjoint by failure class: 0 success, 1 parse/input problems
 (including argparse usage errors, unwritable output paths, `simulate
 --trials` below 1 or too large for a seed per trial, a negative `--seed`, a
-`--layout` that is not a permutation of the register's roles, and a
-BCST_TOLERANCE that is not a finite positive number), 2 selection rule
-violations, 3 intractable census requests, 4 wrong channel kind for the
-subcommand, 5 failed control requirement, 6 unrecognized state.  `main`
-maps exception classes to these codes; the subcommands return the codes
-that no exception carries.  Every subcommand is deterministic given --seed.
+`--layout` or spec document `layout` that is not a permutation of the
+register's roles, and a BCST_TOLERANCE that is not a finite positive
+number), 2 selection rule violations, 3 intractable census requests, 4 wrong
+channel kind for the subcommand, 5 failed control requirement, 6
+unrecognized state.  `main` maps exception classes to these codes; the
+subcommands return the codes that no exception carries.  Every subcommand
+is deterministic given --seed.
 """
 from __future__ import annotations
 
@@ -20,13 +21,7 @@ import numpy as np
 
 from . import catalog, census, qstate, specdoc
 from .bases import bell_basis, controller_basis, ghz_basis
-from .channel import (
-    QubitLayout,
-    SelectionRuleError,
-    apply_layout,
-    bcst_layout,
-    build_bcst_channel,
-)
+from .channel import SelectionRuleError, apply_layout, bcst_layout, build_bcst_channel
 from .protocol import ProtocolError, require_bell_pairs, run_bcst, verify_control
 from .qstate import StateVector, from_amplitudes
 
@@ -219,16 +214,15 @@ def cmd_recognize(args) -> int:
     pb = bell_basis() if args.pair_basis == "bell" else ghz_basis()
     l = state.num_qubits - 2 * pb.p
     if l < 1:
-        return _fail(EXIT_INPUT,
-                     f"{state.num_qubits} qubits leave no controller register")
+        return _fail(EXIT_INPUT, f"{state.num_qubits} qubits leave no controller "
+                                 f"qubit beside two {pb.p}-qubit pairs")
     layout = None
     if args.layout:
-        roles = tuple(r.strip() for r in args.layout.split(","))
-        canonical = bcst_layout(pb.p, l).roles
-        if sorted(roles) != sorted(canonical):
-            return _fail(EXIT_INPUT, f"--layout {args.layout} is not a permutation "
-                                     f"of {','.join(canonical)}")
-        layout = QubitLayout(roles)
+        roles = [r.strip() for r in args.layout.split(",")]
+        try:
+            layout = bcst_layout(pb.p, l).reordered(roles)
+        except ValueError as exc:
+            return _fail(EXIT_INPUT, f"--layout {exc}")
     candidates = None
     if args.candidates:
         candidates = [controller_basis(name.strip(), l)

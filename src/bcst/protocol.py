@@ -372,44 +372,31 @@ def verify_control(spec: ChannelSpec, *, purity_tol: float = 1e-9) -> ControlRep
         raise ProtocolError("control verification applies to bcst channel specs")
     state, layout, _ = _prepared(spec)
     ctrl = charlie_collapse_targets(spec, layout)
-    group1, group2 = layout.pair_groups()
+    groups = layout.pair_groups()
+    purities = tuple(qstate.purity(qstate.partial_trace(state, g)) for g in groups)
 
-    purities = (
-        qstate.purity(qstate.partial_trace(state, group1)),
-        qstate.purity(qstate.partial_trace(state, group2)),
-    )
-
-    # disclosed conditional pair states, one per keyed controller state
-    conditionals: list[tuple[StateVector, StateVector]] = []
-    p = spec.pair_basis.p
+    # disclosed conditional pair states, one per keyed controller state and
+    # slot; the controller comes last, so the pairs keep their positions
+    conditionals = []
     for a_m in spec.controller_states():
-        prob, resid = qstate.split_factor(state, ctrl, a_m)
+        _, resid = qstate.split_factor(state, ctrl, a_m)
         if resid is None:
             raise ProtocolError("a keyed controller state carries no weight")
-        first = qstate.principal_state(qstate.partial_trace(resid, tuple(range(p))))
-        second = qstate.principal_state(
-            qstate.partial_trace(resid, tuple(range(p, 2 * p)))
-        )
-        conditionals.append((first, second))
+        conditionals.append([qstate.principal_state(qstate.partial_trace(resid, g))
+                             for g in groups])
 
-    def varies(states: list[StateVector]) -> bool:
-        return any(
-            qstate.fidelity_up_to_phase(states[0], s) < 1.0 - purity_tol
-            for s in states[1:]
-        )
-
-    vary = (
-        varies([c[0] for c in conditionals]),
-        varies([c[1] for c in conditionals]),
+    vary = tuple(
+        any(qstate.fidelity_up_to_phase(states[0], s) < 1.0 - purity_tol
+            for s in states[1:])
+        for states in zip(*conditionals)
     )
-    controlled = tuple(
-        purities[d] < 1.0 - purity_tol and vary[d] for d in range(2)
-    )
+    controlled = tuple(pur < 1.0 - purity_tol and v for pur, v in zip(purities, vary))
 
     # pre-disclosure pair state must be the uniform mixture over terms
-    rho = qstate.partial_trace(state, group1 + group2)
+    pairs = sum(groups, ())
+    rho = qstate.partial_trace(state, pairs)
     mix = sum(np.outer(v, v.conj()) / spec.n for v in spec.pair_vectors())
-    dist = qstate.trace_distance(rho, qstate.DensityMatrix(2 * p, mix))
+    dist = qstate.trace_distance(rho, qstate.DensityMatrix(len(pairs), mix))
 
     return ControlReport(
         controlled=controlled,  # type: ignore[arg-type]

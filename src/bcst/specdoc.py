@@ -3,16 +3,17 @@
 A spec document carries: version, kind ("bcst" | "qd"), pair_basis ("bell" |
 "ghz"), selection (one entry per term: its 1-based pair-basis index per
 slot, written [i, j] for the two slots of bcst and as a bare i for the one
-slot of qd, which reads as (i,)), phases (+-1, or [re, im]), controller (a
-named family with an ordered subset, or explicit custom states), and an
-optional layout override (role-name permutation of the canonical register
-order).  Any other field, and an `l` that contradicts a `ghz` or `axes:<a>`
-family, is an error.
+slot of qd, which reads as (i,)), phases, controller (a named family with an
+ordered subset, or explicit custom states), and an optional layout override
+(a permutation of the canonical register's role names, checked on reading).
+Any other field, and an `l` that contradicts a `ghz` or `axes:<a>` family,
+is an error.
 
-Amplitudes in custom controllers may be written exactly as integer multiples
-of powers of 1/sqrt(2): {"num": k, "den_sqrt2_power": p} denotes
-k * 2**(-p/2), and that decoding expression is canonical so symbolic values
-round-trip bit-exactly through serialize/parse.
+Phases and custom-controller amplitudes are read by one scalar reader: a
+number, the exact form {"num": k, "den_sqrt2_power": p} denoting
+k * 2**(-p/2), or an [re, im] pair of either.  The decoding expression is
+canonical, so symbolic values round-trip bit-exactly through
+serialize/parse.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .bases import bell_basis, controller_basis, custom_controller_basis, ghz_basis
-from .channel import SLOTS, ChannelSpec
+from .channel import SLOTS, ChannelSpec, canonical_layout
 from .qstate import StateVector, from_amplitudes
 
 DOCUMENT_VERSION = 1
@@ -114,22 +115,12 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _parse_complex(raw, field: str, forms: str) -> complex:
-    """A number, or an [re, im] pair of scalars; else an error saying `forms`."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
+def _parse_complex(raw, field: str) -> complex:
+    """A phase or an amplitude: a real scalar (a number or its symbolic
+    form, see sqrt2_decode), or an [re, im] pair of them."""
     if isinstance(raw, list) and len(raw) == 2:
-        return complex(
-            sqrt2_decode(raw[0], field=field), sqrt2_decode(raw[1], field=field)
-        )
-    raise SpecDocumentError(forms, field=field)
-
-
-def _parse_amplitude(raw, field: str) -> complex:
-    if isinstance(raw, dict):
-        return complex(sqrt2_decode(raw, field))
-    return _parse_complex(
-        raw, field, "amplitude must be a number, [re, im] pair, or symbolic scalar")
+        return complex(sqrt2_decode(raw[0], field), sqrt2_decode(raw[1], field))
+    return complex(sqrt2_decode(raw, field))
 
 
 def _parse_controller(raw, n: int):
@@ -151,7 +142,7 @@ def _parse_controller(raw, n: int):
                     field=f"controller.custom[{r}]",
                 )
             amps = [
-                _parse_amplitude(a, f"controller.custom[{r}][{k}]")
+                _parse_complex(a, f"controller.custom[{r}][{k}]")
                 for k, a in enumerate(row)
             ]
             try:
@@ -263,10 +254,7 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
         raise SpecDocumentError(
             f"phases must list {n} values", field="phases"
         )
-    phases = tuple(
-        _parse_complex(p, f"phases[{k}]", "phase must be a number or an [re, im] pair")
-        for k, p in enumerate(raw_phases)
-    )
+    phases = tuple(_parse_complex(p, f"phases[{k}]") for k, p in enumerate(raw_phases))
 
     controller, subset = _parse_controller(_require(doc, "controller"), n)
 
@@ -276,7 +264,10 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
             raise SpecDocumentError(
                 "layout must be a list of role names", field="layout"
             )
-        layout = tuple(layout)
+        try:
+            layout = canonical_layout(pb.p, slots, controller.l).reordered(layout).roles
+        except ValueError as exc:
+            raise SpecDocumentError(str(exc), field="layout")
 
     try:
         spec = ChannelSpec(

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bcst.bases import bell_basis, controller_basis, ghz_basis
+from bcst.bases import bell_basis, controller_basis
 from bcst.census import enumerate_selections
 from bcst.channel import (
     ChannelSpec,
@@ -21,7 +21,7 @@ from bcst.channel import (
     validate_selection,
 )
 from bcst import qstate
-from bcst.qstate import fidelity_up_to_phase, ket, partial_trace, purity, split_factor
+from bcst.qstate import partial_trace, purity, split_factor
 
 from helpers import random_spec
 
@@ -112,6 +112,16 @@ def test_bcst_layout_roles():
     assert canonical_layout(2, 1, 2).roles == ("A1", "B1", "C1", "C2")
     assert canonical_layout(3, 2, 1).roles == (
         "P1_1", "P1_2", "P1_3", "P2_1", "P2_2", "P2_3", "C1")
+
+
+def test_pair_groups_hold_one_position_tuple_per_slot():
+    assert canonical_layout(2, 1, 1).pair_groups() == ((0, 1),)
+    assert canonical_layout(3, 2, 1).pair_groups() == ((0, 1, 2), (3, 4, 5))
+    assert QubitLayout(("A2", "B2", "A1", "B1", "C1")).pair_groups() == ((2, 3), (0, 1))
+    # the slot is read from the role name, not from the role's position
+    assert QubitLayout(("B2", "C1", "A1", "B1", "A2")).pair_groups() == ((2, 3), (4, 0))
+    assert QubitLayout(("P2_2", "P1_1", "C1", "P2_1", "P1_2")).pair_groups() == (
+        (1, 4), (3, 0))
 
 
 @pytest.mark.parametrize("l,expected", [(1, (4,)), (2, (4, 5)), (3, (4, 5, 6))])
@@ -258,8 +268,16 @@ def test_qd_channel_four_terms_normalized():
 
 
 def test_qd_duplicate_index_rejected():
-    with pytest.raises(ValueError, match="bijection"):
-        qd_spec([1, 1], COMP1)
+    # a repeated index is a rule violation, found only by the rule gate
+    for spec, rule, message in (
+        (qd_spec([1, 1], COMP1), 1, "Rule 1: all terms hold pair index 1"),
+        (qd_spec([2, 3, 2, 4], COMP2), 2, "Rule 2: duplicate pair index 2"),
+    ):
+        with pytest.raises(SelectionRuleError) as err:
+            build_bcst_channel(spec)
+        assert err.value.violation.rule == rule
+        assert str(err.value) == message
+        build_bcst_channel_unchecked(spec)
 
 
 def test_three_terms_cannot_key_one_controller_qubit():

@@ -488,14 +488,17 @@ def test_recognize_bad_candidate_family(tmp_path, capsys):
 def inputs(tmp_path):
     """Paths for the failure cases, by name; the nope.* files do not exist."""
     files = {name: tmp_path / name for name in (
-        "zha5.json", "li5.json", "cqsdc5.json", "qd.json", "broken.json",
-        "bogus.json", "repeated-role.json", "zha5.amps", "unnormalized.amps",
-        "nope.json", "nope.amps")}
+        "zha5.json", "li5.json", "cqsdc5.json", "qd.json", "qd-duplicate.json",
+        "broken.json", "bogus.json", "repeated-role.json", "zha5.amps",
+        "unnormalized.amps", "nope.json", "nope.amps")}
     for eid in ("zha5", "li5", "cqsdc5"):
         files[f"{eid}.json"].write_text(serialize_spec(entry(eid).spec))
     files["qd.json"].write_text(json.dumps(
         {"version": 1, "kind": "qd", "pair_basis": "bell", "selection": [1, 2],
          "phases": [1, 1], "controller": {"family": "computational", "l": 1}}))
+    files["qd-duplicate.json"].write_text(json.dumps(
+        {"version": 1, "kind": "qd", "pair_basis": "bell", "selection": [3, 1, 3],
+         "controller": {"family": "computational", "l": 2}}))
     files["broken.json"].write_text('{\n "version": 1,\n "kind": zzz\n}\n')
     doc = json.loads(serialize_spec(entry("zha5").spec))
     doc["bogus"] = 1
@@ -517,7 +520,10 @@ FAILURES = [
     (("build", "bogus.json", "missing"), EXIT_INPUT, "(field 'bogus')"),
     (("build", "cqsdc5.json", "missing"), EXIT_RULE, "Rule 1"),
     (("build", "zha5.json", "missing"), EXIT_INPUT, "missing"),
-    (("build", "repeated-role.json", "missing"), EXIT_INPUT, "not a permutation"),
+    (("build", "qd-duplicate.json", "missing"), EXIT_RULE,
+     "error: Rule 2: duplicate pair index 3\n"),
+    (("build", "repeated-role.json", "missing"), EXIT_INPUT,
+     "error: A1,A1,B1,B2,C1 is not a permutation of A1,B1,A2,B2,C1 (field 'layout')\n"),
     (("census", "2", "8", "--oracle"), EXIT_INTRACTABLE, "exceed the exhaustive limit"),
     (("census", "100", "100", "--oracle"), EXIT_INTRACTABLE,
      "^100 tuples exceed the exhaustive limit"),
@@ -536,6 +542,7 @@ FAILURES = [
     (("simulate", "zha5.json", "--seed", "-1"), EXIT_INPUT, "--seed must be"),
     (("simulate", "nope.json"), EXIT_INPUT, "No such file"),
     (("simulate", "bogus.json"), EXIT_INPUT, "(field 'bogus')"),
+    (("simulate", "repeated-role.json"), EXIT_INPUT, "(field 'layout')"),
     (("simulate", "qd.json"), EXIT_WRONG_KIND, "this one is qd"),
     (("simulate", "zha5.json", "--alice-state", "1,2"), EXIT_INPUT, "re,im,re,im"),
     (("simulate", "zha5.json", "--alice-state", "a,b,c,d"), EXIT_INPUT,
@@ -547,7 +554,7 @@ FAILURES = [
     (("recognize", "nope.amps"), EXIT_INPUT, "No such file"),
     (("recognize", "unnormalized.amps"), EXIT_INPUT, "norm"),
     (("recognize", "zha5.amps", "--pair-basis", "ghz"), EXIT_INPUT,
-     "no controller register"),
+     "error: 5 qubits leave no controller qubit beside two 3-qubit pairs\n"),
     (("recognize", "zha5.amps", "--candidates", "bogus"), EXIT_INPUT, "bogus"),
     (("recognize", "zha5.amps", "--layout", "A1,A1,B1,B2,C1"), EXIT_INPUT,
      "not a permutation"),

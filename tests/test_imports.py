@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports at module level."""
+"""Every module of the package, the tests and the scripts uses each name it
+imports at module level."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bcst"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# package modules go by file name, the others by their path from the root
+MODULES = [pytest.param(p, id=p.name) for p in sorted(ROOT.glob("src/bcst/*.py"))
+           if p.name != "__init__.py"]
+MODULES += [pytest.param(p, id=p.relative_to(ROOT).as_posix())
+            for p in sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +31,6 @@ def test_the_check_sees_an_unused_import():
                           "print(sys, e)\n") == ["os", "c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

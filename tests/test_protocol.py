@@ -326,6 +326,16 @@ def test_qd_all_sixteen_combinations_decode_exactly():
             assert decoded_bob == b_bits
 
 
+def test_qd_round_decodes_on_a_repeated_index():
+    # both terms hold psi+, so the disclosure adds nothing, yet every round
+    # decodes: the rule gate, not the spec, refuses such a channel
+    spec = qd_spec([1, 1], COMP1)
+    for a_bits in itertools.product((0, 1), repeat=2):
+        for b_bits in itertools.product((0, 1), repeat=2):
+            decoded_alice, decoded_bob, _ = qd_round(spec, a_bits, b_bits, seeded(7))
+            assert (decoded_alice, decoded_bob) == (a_bits, b_bits)
+
+
 def test_qd_random_rounds():
     rng = seeded(2024)
     for _ in range(100):

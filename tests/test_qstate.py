@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcst import qstate
 from bcst.bases import bell_basis
 from bcst.qstate import (
     DensityMatrix,
@@ -12,7 +11,6 @@ from bcst.qstate import (
     factor_out,
     fidelity_up_to_phase,
     from_amplitudes,
-    inner,
     ket,
     measure_in_basis,
     partial_trace,

@@ -87,6 +87,39 @@ def test_layout_override_round_trips():
     assert layout == ("C1", "A1", "B1", "A2", "B2")
 
 
+def test_layout_is_checked_where_it_is_read():
+    text = serialize_spec(entry("zha5").spec, layout=("A1", "A1", "B1", "B2", "C1"))
+    with pytest.raises(SpecDocumentError) as err:
+        parse_spec_document(text)
+    assert err.value.field == "layout"
+    assert str(err.value) == ("A1,A1,B1,B2,C1 is not a permutation of "
+                              "A1,B1,A2,B2,C1 (field 'layout')")
+    qd = qd_spec([1, 2, 3], controller_basis("computational", 2))
+    _, layout = parse_spec_document(serialize_spec(qd, layout=("C2", "A1", "C1", "B1")))
+    assert layout == ("C2", "A1", "C1", "B1")
+
+
+def test_phases_and_amplitudes_share_one_scalar_reader():
+    half, minus_half = ({"num": k, "den_sqrt2_power": 1} for k in (1, -1))
+    doc = {"version": 1, "kind": "bcst", "pair_basis": "bell",
+           "selection": [[1, 1], [2, 2], [3, 3]],
+           "phases": [{"num": -2, "den_sqrt2_power": 2}, [0, 1], [half, half]],
+           "controller": {"custom": [[half, [half, 0], 0, 0],
+                                     [[half, 0], minus_half, 0, 0],
+                                     [0, 0, 1, [0, 0]]]}}
+    spec, _ = parse_spec_document(json.dumps(doc))
+    r = 1 / np.sqrt(2)
+    assert spec.phases == (-1, 1j, complex(r, r))
+    amps = [s.amplitudes for s in spec.controller_states()]
+    np.testing.assert_allclose(amps[0], [r, r, 0, 0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(amps[1], [r, -r, 0, 0], rtol=0, atol=1e-15)
+    for bad in ("abc", True, [1, 2, 3], {"num": 1}):
+        doc["phases"][1] = bad
+        with pytest.raises(SpecDocumentError) as err:
+            parse_spec_document(json.dumps(doc))
+        assert err.value.field == "phases[1]"
+
+
 def test_parse_error_carries_line_number():
     bad = '{\n  "version": 1,\n  "kind": ???\n}\n'
     with pytest.raises(SpecDocumentError) as err:
