@@ -98,6 +98,16 @@ def corpus_inputs() -> dict[str, str]:
                                phases=[1, "abc"]),
         "qd4.json": _doc("qd", "bell", [1, 2, 3, 4],
                          {"family": "computational", "l": 2}),
+        "huge-phase.json": _doc("bcst", "bell", [[1, 1], [2, 3]], comp1,
+                                phases=[1, 10**400]),
+        "huge-power.json": _doc("bcst", "bell", [[1, 1], [2, 3]], comp1,
+                                phases=[1, _sqrt2(1, 2100)]),
+        "l11.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
+                         {"family": "computational", "l": 11}),
+        "axes40.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
+                            {"family": "axes:" + "zx" * 20}),
+        "custom512.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
+                               {"custom": [[1] + [0] * 511, [0, 1] + [0] * 510]}),
     }
     for eid in RULE_VIOLATORS:
         files[f"{eid}.amps"] = _amplitude_text(reconstruct(entry(eid)))
@@ -193,6 +203,10 @@ def corpus_argvs() -> list[list[str]]:
         ["build", "qd4.json", "qd4.amps"],
         ["recognize", "qd4.amps"],
     ]
+    # numbers past the double range, and controllers too large for the register
+    cases += [["build", doc, "x.amps"] for doc in (
+        "huge-phase.json", "huge-power.json", "l11.json", "axes40.json",
+        "custom512.json")]
     return cases
 
 
@@ -206,7 +220,10 @@ def _snapshot(workdir: Path) -> dict[str, str]:
 
 
 def run_case(argv: list[str], workdir: Path) -> dict:
-    """One case's record: exit code, output hashes and the files it wrote."""
+    """One case's record: exit code, output hashes and the files it wrote.
+
+    A case that raises is recorded with exit None and `raised <Type>:
+    <message>` as its stderr, so the rest of the corpus still runs."""
     before = _snapshot(workdir)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -216,6 +233,9 @@ def run_case(argv: list[str], workdir: Path) -> dict:
             code = cli_main(argv)
     except SystemExit as exc:  # argparse usage errors and --help
         code = exc.code
+    except Exception as exc:  # a traceback at the command line: record it
+        code = None
+        err.write(f"raised {type(exc).__name__}: {exc}")
     finally:
         os.chdir(cwd)
     after = _snapshot(workdir)

@@ -48,7 +48,6 @@ from .protocol import (
     pauli_closure_check,
     qd_round,
     run_bcst,
-    teleport,
     verify_control,
 )
 from .qstate import (

@@ -88,12 +88,11 @@ def bell_basis() -> EntangledBasis:
     return EntangledBasis("bell", 2, tuple(bell(k) for k in BellKind))
 
 
-def ghz_basis() -> EntangledBasis:
-    labels = [GhzLabel(x, s) for x in range(4) for s in (1, -1)]
-    return EntangledBasis("ghz", 3, tuple(ghz(lb) for lb in labels))
-
-
 GHZ_BASIS_LABELS = tuple(GhzLabel(x, s) for x in range(4) for s in (1, -1))
+
+
+def ghz_basis() -> EntangledBasis:
+    return EntangledBasis("ghz", 3, tuple(ghz(lb) for lb in GHZ_BASIS_LABELS))
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def complete_basis(elements) -> tuple[StateVector, ...]:
     return elements + tuple(StateVector(nq, row) for row in extra)
 
 
-def custom_controller_basis(elements, name: str = "custom") -> ControllerBasis:
+def custom_controller_basis(elements) -> ControllerBasis:
     """Controller basis from explicit states, completed if fewer than 2^l."""
     full = complete_basis(elements)
-    return ControllerBasis(name, full[0].num_qubits, full)
+    return ControllerBasis("custom", full[0].num_qubits, full)

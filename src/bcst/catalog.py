@@ -212,8 +212,6 @@ def recognize(
     layout: QubitLayout | None = None,
     candidates: Sequence[ControllerBasis] | None = None,
     pair_basis: EntangledBasis | None = None,
-    *,
-    uniform_tol: float = 1e-9,
 ) -> ChannelSpec | None:
     """Recover the channel spec that produced `state`, or None.
 
@@ -237,6 +235,7 @@ def recognize(
     repeated cells (rows that no single family element matches) is not
     recognized.
     """
+    tol = 1e-9  # how far a weight or an overlap may sit from its value
     pb = pair_basis if pair_basis is not None else bell_basis()
     p = pb.p
     l = state.num_qubits - 2 * p
@@ -249,9 +248,9 @@ def recognize(
     b = np.stack([e.amplitudes for e in pb.elements])
     coeffs = np.kron(b, b).conj() @ state.amplitudes.reshape(-1, 1 << l)
     weights = np.einsum("ij,ij->i", coeffs.conj(), coeffs).real
-    rows = np.flatnonzero(weights > uniform_tol)
+    rows = np.flatnonzero(weights > tol)
     n = rows.size
-    if n < 2 or not np.all(np.abs(weights[rows] - 1.0 / n) <= uniform_tol):
+    if n < 2 or not np.all(np.abs(weights[rows] - 1.0 / n) <= tol):
         return None
     keys = coeffs[rows] / np.sqrt(weights[rows])[:, None]
 
@@ -262,7 +261,7 @@ def recognize(
             continue
         elems = np.stack([a.amplitudes for a in cand.elements])
         overlaps = np.abs(elems.conj() @ keys.T)
-        if np.all(overlaps.max(axis=0) >= 1.0 - uniform_tol):
+        if np.all(overlaps.max(axis=0) >= 1.0 - tol):
             break
     else:
         return None
@@ -271,18 +270,18 @@ def recognize(
     terms = []
     for k in np.argsort(index, kind="stable"):
         prob, resid = qstate.split_factor(state, ctrl_pos, cand.elements[index[k]])
-        if resid is None or not abs(prob - 1.0 / n) <= uniform_tol:
+        if resid is None or not abs(prob - 1.0 / n) <= tol:
             return None
         i, j = divmod(int(rows[k]), pb.size)
         overlap = complex(np.vdot(np.kron(b[i], b[j]), resid.amplitudes))
-        if not abs(overlap) >= 1.0 - uniform_tol:
+        if not abs(overlap) >= 1.0 - tol:
             return None
         terms.append(((i + 1, j + 1), _snap_phase(overlap), int(index[k])))
     selection, phases, subset = zip(*terms)
     spec = ChannelSpec(kind="bcst", pair_basis=pb, selection=selection,
                        phases=phases, controller=cand, subset=subset)
     rebuilt, _ = build_bcst_channel_unchecked(spec)
-    if not qstate.fidelity_up_to_phase(rebuilt, state) >= 1.0 - uniform_tol:
+    if not qstate.fidelity_up_to_phase(rebuilt, state) >= 1.0 - tol:
         return None
     return spec
 

@@ -42,7 +42,6 @@ PairCell = tuple[int, int]
 class RuleViolation:
     rule: int
     message: str
-    offenders: tuple[Entry, ...]
 
     def __str__(self) -> str:
         return f"Rule {self.rule}: {self.message}"
@@ -89,10 +88,10 @@ def validate_selection(
     for s, words in enumerate(slot_words):
         values = {entry[s] for entry in entries}
         if len(values) == 1:
-            return RuleViolation(1, f"all {words} {values.pop()}", tuple(entries))
+            return RuleViolation(1, f"all {words} {values.pop()}")
     for k, entry in enumerate(entries):
         if entry in entries[:k]:
-            return RuleViolation(2, "duplicate " + entry_words.format(entry), (entry,))
+            return RuleViolation(2, "duplicate " + entry_words.format(entry))
     return None
 
 

@@ -102,23 +102,6 @@ def bell_measure(state: StateVector, q_a: int, q_b: int, rng):
     return tuple(_SMO_BY_BELL_INDEX[k] for k in idx.tolist()), prob, collapsed
 
 
-def teleport(
-    shared: BellKind, input_state: StateVector, rng: np.random.Generator
-) -> tuple[StateVector, Smo]:
-    """One-qubit teleportation over a shared Bell pair.
-
-    Register order: input qubit, sender half, receiver half.  Returns the
-    receiver's corrected qubit and the sender's outcome.
-    """
-    if input_state.num_qubits != 1:
-        raise ValueError("teleport carries a single qubit")
-    full = qstate.tensor(input_state, bell(shared))
-    smo, _, collapsed = bell_measure(full, 0, 1, rng)
-    corrected = qstate.apply_unitary(collapsed, correction(shared, smo).matrix, (2,))
-    outcome_state = bell_basis().elements[_BELL_INDEX_BY_SMO[smo]]
-    return qstate.factor_out(corrected, (0, 1), outcome_state), smo
-
-
 def derive_correction_table(
     rng: np.random.Generator, samples: int = 20, tol: float = 1e-10
 ) -> dict[tuple[BellKind, Smo], PauliOp]:
@@ -138,10 +121,9 @@ def derive_correction_table(
                 ok = True
                 for chi in inputs:
                     full = qstate.tensor(chi, bell(kind))
-                    prob, collapsed = qstate.project_onto(full, (0, 1), bb[idx])
-                    if collapsed is None:
+                    _, out = qstate.split_factor(full, (0, 1), bb[idx])
+                    if out is None:
                         raise ProtocolError("outcome projection vanished")
-                    out = qstate.factor_out(collapsed, (0, 1), bb[idx])
                     out = qstate.apply_unitary(out, op.matrix, (0,))
                     if qstate.fidelity_up_to_phase(out, chi) < 1.0 - tol:
                         ok = False
@@ -214,7 +196,6 @@ class BcstTranscript:
     """Replayable record of one two-way teleportation run, with the Born
     probability of each of its three measurement outcomes."""
 
-    seed: int | None
     charlie_outcome: int
     smo_alice: Smo
     smo_bob: Smo
@@ -228,7 +209,6 @@ class BcstTranscript:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
             "charlie_outcome": self.charlie_outcome,
             "smo_alice": self.smo_alice.bits,
             "smo_bob": self.smo_bob.bits,
@@ -259,8 +239,7 @@ def run_bcst(
     alice_in: StateVector,
     bob_in: StateVector,
     *,
-    rng=None,
-    seed: int | None = None,
+    rng,
 ):
     """Both teleportation directions end to end on the full register.
 
@@ -279,8 +258,8 @@ def run_bcst(
     require_bell_pairs(spec, "bcst")
     if alice_in.num_qubits != 1 or bob_in.num_qubits != 1:
         raise ValueError("teleported payloads are single qubits")
-    single = rng is None or isinstance(rng, np.random.Generator)
-    rngs = (np.random.default_rng(seed) if rng is None else rng,) if single else rng
+    single = isinstance(rng, np.random.Generator)
+    rngs = (rng,) if single else rng
     for payload in (alice_in, bob_in):
         if payload.batch not in (None, len(rngs)):
             raise ValueError(
@@ -321,7 +300,6 @@ def run_bcst(
 
     transcripts = tuple(
         BcstTranscript(
-            seed=seed,
             charlie_outcome=int(m[t]),
             smo_alice=smo_a[t],
             smo_bob=smo_b[t],
@@ -360,11 +338,11 @@ class ControlReport:
         }[self.controlled]
 
 
-def verify_control(spec: ChannelSpec, *, purity_tol: float = 1e-9) -> ControlReport:
+def verify_control(spec: ChannelSpec) -> ControlReport:
     """Check that without disclosure each direction's pair is undetermined.
 
     A direction counts as controlled when its pre-disclosure reduced state is
-    mixed (purity < 1 - purity_tol) and the disclosed conditional pair states
+    mixed (purity < 1 - 1e-9) and the disclosed conditional pair states
     actually differ across outcomes.  Also audits that the pre-disclosure
     joint pair state equals the uniform mixture of the term projectors.
     """
@@ -386,11 +364,11 @@ def verify_control(spec: ChannelSpec, *, purity_tol: float = 1e-9) -> ControlRep
                              for g in groups])
 
     vary = tuple(
-        any(qstate.fidelity_up_to_phase(states[0], s) < 1.0 - purity_tol
+        any(qstate.fidelity_up_to_phase(states[0], s) < 1.0 - 1e-9
             for s in states[1:])
         for states in zip(*conditionals)
     )
-    controlled = tuple(pur < 1.0 - purity_tol and v for pur, v in zip(purities, vary))
+    controlled = tuple(pur < 1.0 - 1e-9 and v for pur, v in zip(purities, vary))
 
     # pre-disclosure pair state must be the uniform mixture over terms
     pairs = sum(groups, ())

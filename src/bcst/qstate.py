@@ -114,12 +114,6 @@ class DensityMatrix:
             raise ValueError("trace is not 1")
         object.__setattr__(self, "entries", _frozen(m))
 
-    def validate(self) -> None:
-        """Raise unless positive semidefinite (eigenvalues >= -1e-10)."""
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        if lo < -1e-10:
-            raise ValueError(f"negative eigenvalue {lo}")
-
 
 def _check_targets(num_qubits: int, targets: Sequence[int]) -> tuple[int, ...]:
     t = tuple(int(q) for q in targets)
@@ -235,32 +229,12 @@ def _unproject(mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return mat.reshape(lead + (2,) * n).transpose(inverse).reshape(lead + (-1,))
 
 
-def project_onto(
-    state: StateVector, targets: Sequence[int], element: StateVector
-) -> tuple[float, StateVector | None]:
-    """Project the target qubits onto element; (probability, collapsed state).
-
-    The collapsed state keeps the full register, with the targets factored
-    into element exactly.  Returns (p, None) when p is numerically zero.
-    """
-    t = _check_targets(state.num_qubits, targets)
-    if element.num_qubits != len(t):
-        raise ValueError("element size does not match target count")
-    mat, _ = _project_matrix(state, t)
-    resid = element.amplitudes.conj() @ mat
-    prob = float(np.vdot(resid, resid).real)
-    if prob < 1e-15:
-        return prob, None
-    resid = resid / np.sqrt(prob)
-    full = np.outer(element.amplitudes, resid)
-    return prob, StateVector(state.num_qubits, _unproject(full, t))
-
-
 def split_factor(
     state: StateVector, targets: Sequence[int], element: StateVector
 ) -> tuple[float | np.ndarray, StateVector | None]:
-    """Like project_onto but returns the normalized residual state over the
-    remaining qubits (in increasing position order).
+    """Project the target qubits onto element; (probability, normalized
+    residual state over the remaining qubits in increasing position order),
+    or (probability, None) when the probability is numerically zero.
 
     On a batch the weights are an array and a batch element projects row t
     onto its own row t; the residual is None if any row has no weight."""
@@ -403,9 +377,9 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.entries @ rho.entries).real)
 
 
-def principal_state(rho: DensityMatrix, *, min_purity: float = 1.0 - 1e-9) -> StateVector:
+def principal_state(rho: DensityMatrix) -> StateVector:
     """Extract the pure state from a (numerically) rank-one density matrix."""
-    if purity(rho) < min_purity:
+    if purity(rho) < 1.0 - 1e-9:
         raise ValueError(f"not pure enough: purity {purity(rho)}")
     vals, vecs = np.linalg.eigh(rho.entries)
     return StateVector(rho.num_qubits, vecs[:, -1])

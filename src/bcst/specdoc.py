@@ -25,7 +25,7 @@ import numpy as np
 
 from .bases import bell_basis, controller_basis, custom_controller_basis, ghz_basis
 from .channel import SLOTS, ChannelSpec, canonical_layout
-from .qstate import StateVector, from_amplitudes
+from .qstate import MAX_QUBITS, StateVector, from_amplitudes
 
 DOCUMENT_VERSION = 1
 
@@ -45,45 +45,50 @@ class SpecDocumentError(ValueError):
 # -- exact sqrt(2)-power scalars -------------------------------------------
 
 def sqrt2_decode(value: Any, field: str) -> float:
-    """Number, or {"num": k, "den_sqrt2_power": p} meaning k * 2**(-p/2)."""
+    """Number, or {"num": k, "den_sqrt2_power": p} meaning k * 2**(-p/2);
+    an integer past the double range is an error, not an OverflowError."""
     if isinstance(value, bool):
         raise SpecDocumentError("expected a number", field=field)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, dict):
-        extra = set(value) - {"num", "den_sqrt2_power"}
-        if extra or "num" not in value or "den_sqrt2_power" not in value:
-            raise SpecDocumentError(
-                "symbolic scalar needs exactly num and den_sqrt2_power", field=field
-            )
-        num, k = value["num"], value["den_sqrt2_power"]
-        if not isinstance(num, int) or not isinstance(k, int) or k < 0:
-            raise SpecDocumentError(
-                "num must be an integer, den_sqrt2_power a non-negative integer",
-                field=field,
-            )
-        return _sqrt2_value(num, k)
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, dict):
+            extra = set(value) - {"num", "den_sqrt2_power"}
+            if extra or "num" not in value or "den_sqrt2_power" not in value:
+                raise SpecDocumentError(
+                    "symbolic scalar needs exactly num and den_sqrt2_power", field=field
+                )
+            num, k = value["num"], value["den_sqrt2_power"]
+            if not isinstance(num, int) or not isinstance(k, int) or k < 0:
+                raise SpecDocumentError(
+                    "num must be an integer, den_sqrt2_power a non-negative integer",
+                    field=field,
+                )
+            return _sqrt2_value(num, k)
+    except OverflowError:
+        raise SpecDocumentError("number past the double range", field=field) from None
     raise SpecDocumentError(f"cannot read scalar {value!r}", field=field)
 
 
 def _sqrt2_value(num: int, k: int) -> float:
-    """num / sqrt(2)^k, staged so even powers divide by exact integers.
+    """num / sqrt(2)^k, staged so even powers scale exactly (ldexp, which
+    allocates nothing however large k is).
 
     This reproduces bit-for-bit the doubles the builders emit (1/sqrt(2)
     factors followed by halvings); a single 2**(-k/2) power can land one
     ulp away for odd k.
     """
-    value = num / float(1 << (k // 2))
+    value = math.ldexp(num, -(k // 2))
     if k % 2:
         value /= math.sqrt(2.0)
     return value
 
 
-def sqrt2_encode(x: float, max_power: int = 40) -> Any:
-    """Render x symbolically as {"num", "den_sqrt2_power"} when possible."""
+def sqrt2_encode(x: float) -> Any:
+    """Render x as {"num", "den_sqrt2_power"} (a power up to 40) when possible."""
     if x == 0:
         return 0
-    for k in range(max_power + 1):
+    for k in range(41):
         scaled = x * 2.0 ** (k / 2)
         num = round(scaled)
         if num != 0 and abs(scaled - num) <= 1e-9 * max(1, abs(num)):
@@ -123,7 +128,16 @@ def _parse_complex(raw, field: str) -> complex:
     return complex(sqrt2_decode(raw, field))
 
 
-def _parse_controller(raw, n: int):
+def _check_fits(l: int, room: int, field: str) -> None:
+    """Raise unless l controller qubits fit the room the pairs leave."""
+    if l > room:
+        raise SpecDocumentError(
+            f"{l} controller qubits do not fit the {MAX_QUBITS}-qubit register, "
+            f"which has room for {room} beside the pairs", field=field)
+
+
+def _parse_controller(raw, n: int, room: int):
+    """(basis, subset); the size is checked before any basis state is built."""
     if not isinstance(raw, dict):
         raise SpecDocumentError("controller must be an object", field="controller")
     if "custom" in raw:
@@ -141,6 +155,7 @@ def _parse_controller(raw, n: int):
                     "each custom state is a list of amplitudes",
                     field=f"controller.custom[{r}]",
                 )
+            _check_fits((len(row) - 1).bit_length(), room, f"controller.custom[{r}]")
             amps = [
                 _parse_complex(a, f"controller.custom[{r}][{k}]")
                 for k, a in enumerate(row)
@@ -178,6 +193,7 @@ def _parse_controller(raw, n: int):
             f"l={l} contradicts family {family!r}, which has l={implied}",
             field="controller.l",
         )
+    _check_fits(l, room, "controller.l")
     try:
         basis = controller_basis(family, l)
     except ValueError as exc:
@@ -256,7 +272,8 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
         )
     phases = tuple(_parse_complex(p, f"phases[{k}]") for k, p in enumerate(raw_phases))
 
-    controller, subset = _parse_controller(_require(doc, "controller"), n)
+    controller, subset = _parse_controller(
+        _require(doc, "controller"), n, MAX_QUBITS - slots * pb.p)
 
     layout = doc.get("layout")
     if layout is not None:

@@ -58,6 +58,11 @@ def test_ghz_canonical_set_is_orthogonal():
             assert abs(inner(ghz(la), ghz(lb))) == pytest.approx(expected, abs=1e-12)
 
 
+def test_ghz_basis_follows_the_label_order():
+    for label, element in zip(GHZ_BASIS_LABELS, ghz_basis().elements, strict=True):
+        np.testing.assert_array_equal(element.amplitudes, ghz(label).amplitudes)
+
+
 def test_ghz_label_validation():
     with pytest.raises(ValueError):
         GhzLabel(8, 1)

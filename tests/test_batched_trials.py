@@ -47,11 +47,8 @@ def reference_charlie_disclose(channel_state, spec, layout, rng):
     return idx, qstate.factor_out(collapsed, targets, basis[idx])
 
 
-def reference_run_bcst(spec, alice_in, bob_in, *, rng=None, seed=None):
+def reference_run_bcst(spec, alice_in, bob_in, *, rng):
     """One trial end to end; the transcript comes back as a dict."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
     channel_state, layout, _ = protocol._prepared(spec)
     full = qstate.tensor(channel_state, alice_in, bob_in)
     m, full = reference_charlie_disclose(full, spec, layout, rng)
@@ -70,7 +67,6 @@ def reference_run_bcst(spec, alice_in, bob_in, *, rng=None, seed=None):
     bob_received = qstate.principal_state(qstate.partial_trace(full, (1,)))
     alice_received = qstate.principal_state(qstate.partial_trace(full, (2,)))
     transcript = dict(
-        seed=seed,
         charlie_outcome=m,
         smo_alice=smo_a,
         smo_bob=smo_b,

@@ -490,7 +490,8 @@ def inputs(tmp_path):
     files = {name: tmp_path / name for name in (
         "zha5.json", "li5.json", "cqsdc5.json", "qd.json", "qd-duplicate.json",
         "broken.json", "bogus.json", "repeated-role.json", "zha5.amps",
-        "unnormalized.amps", "nope.json", "nope.amps")}
+        "unnormalized.amps", "nope.json", "nope.amps", "huge-phase.json",
+        "huge-power.json", "l11.json", "axes40.json", "custom512.json")}
     for eid in ("zha5", "li5", "cqsdc5"):
         files[f"{eid}.json"].write_text(serialize_spec(entry(eid).spec))
     files["qd.json"].write_text(json.dumps(
@@ -499,6 +500,18 @@ def inputs(tmp_path):
     files["qd-duplicate.json"].write_text(json.dumps(
         {"version": 1, "kind": "qd", "pair_basis": "bell", "selection": [3, 1, 3],
          "controller": {"family": "computational", "l": 2}}))
+    for name, extra in (
+        ("huge-phase.json", {"phases": [1, 10**400]}),
+        ("huge-power.json", {"phases": [1, {"num": 1, "den_sqrt2_power": 2100}]}),
+        ("l11.json", {"controller": {"family": "computational", "l": 11}}),
+        ("axes40.json", {"controller": {"family": "axes:" + "zx" * 20}}),
+        ("custom512.json", {"controller": {
+            "custom": [[1] + [0] * 511, [0, 1] + [0] * 510]}}),
+    ):
+        files[name].write_text(json.dumps(dict(
+            {"version": 1, "kind": "bcst", "pair_basis": "bell",
+             "selection": [[1, 1], [2, 3]],
+             "controller": {"family": "computational", "l": 1}}, **extra)))
     files["broken.json"].write_text('{\n "version": 1,\n "kind": zzz\n}\n')
     doc = json.loads(serialize_spec(entry("zha5").spec))
     doc["bogus"] = 1
@@ -524,6 +537,17 @@ FAILURES = [
      "error: Rule 2: duplicate pair index 3\n"),
     (("build", "repeated-role.json", "missing"), EXIT_INPUT,
      "error: A1,A1,B1,B2,C1 is not a permutation of A1,B1,A2,B2,C1 (field 'layout')\n"),
+    (("build", "huge-phase.json", "missing"), EXIT_INPUT,
+     "error: number past the double range (field 'phases[1]')\n"),
+    (("build", "huge-power.json", "missing"), EXIT_INPUT, "is not unit modulus"),
+    (("build", "l11.json", "missing"), EXIT_INPUT,
+     "error: 11 controller qubits do not fit the 12-qubit register, which has "
+     "room for 8 beside the pairs (field 'controller.l')\n"),
+    (("build", "axes40.json", "missing"), EXIT_INPUT,
+     "40 controller qubits do not fit the 12-qubit register"),
+    (("build", "custom512.json", "missing"), EXIT_INPUT,
+     "9 controller qubits do not fit the 12-qubit register, which has room "
+     "for 8 beside the pairs (field 'controller.custom[0]')"),
     (("census", "2", "8", "--oracle"), EXIT_INTRACTABLE, "exceed the exhaustive limit"),
     (("census", "100", "100", "--oracle"), EXIT_INTRACTABLE,
      "^100 tuples exceed the exhaustive limit"),

@@ -22,7 +22,6 @@ from bcst.protocol import (
     pauli_closure_check,
     qd_round,
     run_bcst,
-    teleport,
     verify_control,
 )
 from bcst import qstate
@@ -135,23 +134,8 @@ def test_bell_measure_uniform_on_product_input():
     # |0> x psi+ meets every Bell projector with weight 1/4
     state = tensor(ket("0"), bell(BellKind.PSI_PLUS))
     for elem in bell_basis().elements:
-        prob, _ = qstate.project_onto(state, (0, 1), elem)
+        prob, _ = qstate.split_factor(state, (0, 1), elem)
         assert prob == pytest.approx(0.25, abs=1e-12)
-
-
-def test_teleport_basis_state():
-    out, _ = teleport(BellKind.PSI_PLUS, ket("0"), seeded(2))
-    assert fidelity_up_to_phase(out, ket("0")) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_teleport_any_outcome_restores_input():
-    chi = from_amplitudes([1, 1j], atol=2)  # (|0> + i|1>)/sqrt(2)
-    seen = set()
-    for seed in range(40):
-        out, smo = teleport(BellKind.PHI_MINUS, chi, seeded(seed))
-        assert fidelity_up_to_phase(out, chi) >= 1.0 - 1e-10
-        seen.add(smo)
-    assert seen == {Smo(*s) for s in itertools.product((0, 1), repeat=2)}
 
 
 def test_wrong_correction_breaks_teleportation():
@@ -159,8 +143,7 @@ def test_wrong_correction_breaks_teleportation():
     chi = from_amplitudes([1, 1j], atol=2)
     full = tensor(chi, bell(BellKind.PSI_PLUS))
     phi_plus = bell_basis().elements[2]  # the smo-01 outcome
-    _, collapsed = qstate.project_onto(full, (0, 1), phi_plus)
-    out = qstate.factor_out(collapsed, (0, 1), phi_plus)
+    _, out = qstate.split_factor(full, (0, 1), phi_plus)
     assert fidelity_up_to_phase(out, chi) < 1.0 - 1e-3
     fixed = apply_unitary(out, PauliOp.X.matrix, (0,))
     assert fidelity_up_to_phase(fixed, chi) >= 1.0 - 1e-12
@@ -214,7 +197,7 @@ def test_disclosure_of_the_ghz_keyed_channel():
 # ---- two-way teleportation --------------------------------------------------------
 
 def test_run_bcst_basis_payloads():
-    bob_out, alice_out, tr = run_bcst(entry("zha5").spec, ket("0"), ket("1"), seed=0)
+    bob_out, alice_out, tr = run_bcst(entry("zha5").spec, ket("0"), ket("1"), rng=seeded(0))
     assert fidelity_up_to_phase(bob_out, ket("0")) == pytest.approx(1.0, abs=1e-12)
     assert fidelity_up_to_phase(alice_out, ket("1")) == pytest.approx(1.0, abs=1e-12)
     assert tr.fidelity_bob >= 1.0 - 1e-10 and tr.fidelity_alice >= 1.0 - 1e-10
@@ -244,19 +227,19 @@ def test_run_bcst_transcript_is_replayable():
     spec = entry("zha_ii5").spec
     a = from_amplitudes([0.6, 0.8])
     b = from_amplitudes([1, -1j], atol=2)
-    t1 = run_bcst(spec, a, b, seed=99)[2]
-    t2 = run_bcst(spec, a, b, seed=99)[2]
+    t1 = run_bcst(spec, a, b, rng=seeded(99))[2]
+    t2 = run_bcst(spec, a, b, rng=seeded(99))[2]
     assert t1.to_dict() == t2.to_dict()
 
 
 def test_run_bcst_rejects_wrong_specs():
     with pytest.raises(ProtocolError):
-        run_bcst(qd_spec([1, 2], COMP1), ket("0"), ket("0"), seed=0)
+        run_bcst(qd_spec([1, 2], COMP1), ket("0"), ket("0"), rng=seeded(0))
     ghz_pairs = bcst_spec([(1, 1), (2, 2)], COMP1, pair_basis=ghz_basis())
     with pytest.raises(ProtocolError, match="Bell"):
-        run_bcst(ghz_pairs, ket("0"), ket("0"), seed=0)
+        run_bcst(ghz_pairs, ket("0"), ket("0"), rng=seeded(0))
     with pytest.raises(ValueError):
-        run_bcst(entry("zha5").spec, ket("00"), ket("0"), seed=0)
+        run_bcst(entry("zha5").spec, ket("00"), ket("0"), rng=seeded(0))
 
 
 # ---- control verification -----------------------------------------------------------
@@ -422,7 +405,7 @@ def test_memo_serves_each_spec_its_own_channel():
     payloads = (from_amplitudes([0.6, 0.8]), from_amplitudes([0.8, -0.6j]))
 
     def transcript(spec):
-        return run_bcst(spec, *payloads, seed=5)[2].to_dict()
+        return run_bcst(spec, *payloads, rng=seeded(5))[2].to_dict()
 
     fresh = {}
     for spec in (a, b):
@@ -434,7 +417,7 @@ def test_memo_serves_each_spec_its_own_channel():
 
 def test_run_bcst_discloses_through_charlie_disclose(monkeypatch):
     disclosures = count_calls(monkeypatch, "charlie_disclose")
-    _, _, tr = run_bcst(entry("seven").spec, ket("0"), ket("1"), seed=4)
+    _, _, tr = run_bcst(entry("seven").spec, ket("0"), ket("1"), rng=seeded(4))
     assert len(disclosures) == 1
     assert tr.charlie_outcome < entry("seven").spec.n
 

