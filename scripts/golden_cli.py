@@ -108,6 +108,12 @@ def corpus_inputs() -> dict[str, str]:
                             {"family": "axes:" + "zx" * 20}),
         "custom512.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
                                {"custom": [[1] + [0] * 511, [0, 1] + [0] * 510]}),
+        "subset-repeated.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
+                                     dict(comp1, subset=[0, 0])),
+        "subset-out-of-range.json": _doc("bcst", "bell", [[1, 1], [2, 3]],
+                                         dict(comp1, subset=[0, 2])),
+        "few-controller-qubits.json": _doc("bcst", "bell",
+                                           [[1, 1], [2, 3], [3, 2], [4, 4]], comp1),
     }
     for eid in RULE_VIOLATORS:
         files[f"{eid}.amps"] = _amplitude_text(reconstruct(entry(eid)))
@@ -207,6 +213,12 @@ def corpus_argvs() -> list[list[str]]:
     cases += [["build", doc, "x.amps"] for doc in (
         "huge-phase.json", "huge-power.json", "l11.json", "axes40.json",
         "custom512.json")]
+    # controller fields that only the spec's own checks reject, and a closed
+    # form too large to print
+    cases += [["build", doc, "x.amps"] for doc in (
+        "subset-repeated.json", "subset-out-of-range.json",
+        "few-controller-qubits.json")]
+    cases += [["census", "16", "65537", "--formula"]]
     return cases
 
 
