@@ -33,7 +33,6 @@ from .channel import (
     SelectionRuleError,
     bcst_spec,
     build_bcst_channel,
-    charlie_collapse_targets,
     qd_spec,
     validate_selection,
 )

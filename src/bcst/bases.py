@@ -109,24 +109,12 @@ class ControllerBasis:
                 f"{len(self.elements)} elements do not form a complete basis "
                 f"on {self.l} qubits"
             )
-        report = validate_orthonormal(self.elements)
-        if not report.orthonormal:
-            raise ValueError(f"controller basis not orthonormal: {report}")
+        validate_orthonormal(self.elements)
 
 
-@dataclass(frozen=True)
-class OrthonormalityReport:
-    orthonormal: bool
-    complete: bool
-    max_deviation: float
-    worst_pair: tuple[int, int] | None
-
-    def __bool__(self) -> bool:
-        return self.orthonormal
-
-
-def validate_orthonormal(states) -> OrthonormalityReport:
-    """Pairwise orthonormality within tolerance; completeness flagged separately."""
+def validate_orthonormal(states) -> None:
+    """Raise ValueError unless the states are pairwise orthonormal within
+    tolerance; the message names the worst pair and its deviation."""
     states = list(states)
     if not states:
         raise ValueError("no states given")
@@ -135,15 +123,10 @@ def validate_orthonormal(states) -> OrthonormalityReport:
         raise ValueError("states live on different registers")
     b = np.stack([s.amplitudes for s in states])
     dev = np.abs(b.conj() @ b.T - np.eye(len(states)))
-    worst = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    max_dev = float(dev[worst])
-    tol = qstate.TOLERANCE
-    return OrthonormalityReport(
-        orthonormal=max_dev <= tol,
-        complete=len(states) == dim,
-        max_deviation=max_dev,
-        worst_pair=(int(worst[0]), int(worst[1])) if max_dev > tol else None,
-    )
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    if not dev[i, j] <= qstate.TOLERANCE:
+        raise ValueError(f"states are not orthonormal: pair ({i}, {j}) "
+                         f"deviates by {dev[i, j]:.3g}")
 
 
 def product_axis_basis(axes: str) -> ControllerBasis:
@@ -195,9 +178,7 @@ def complete_basis(elements) -> tuple[StateVector, ...]:
     The given states come first, unchanged; the completion is deterministic.
     """
     elements = tuple(elements)
-    report = validate_orthonormal(elements)
-    if not report.orthonormal:
-        raise ValueError("states to complete are not orthonormal")
+    validate_orthonormal(elements)
     dim = elements[0].dim
     n = len(elements)
     if n == dim:

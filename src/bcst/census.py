@@ -39,28 +39,37 @@ def formula_count(p: int, n: int) -> int:
     p=2, n=4).  With N = 2^p the exact count is perm(N^2, n) - 2N perm(N, n);
     this form agrees with it at n = 2 and for every n > 2^p, and differs only
     for 3 <= n <= 2^p (p=2: 3648 vs 3168 at n=3, 63744 vs 43488 at n=4).
-    census_report sets it against the exhaustive counters.
+    census_report sets it against the exhaustive counters.  A count with more
+    digits than the interpreter prints is sized and refused before it is built.
     """
     if p < 1 or n < 2:
         raise ValueError("need p >= 1 and n >= 2")
-    cells = 4**p
-    if n > cells:
-        raise ValueError(f"cannot select {n} distinct cells from {cells}")
-    if n > 2**p:
-        return math.perm(cells, n)
+    # powers of 2 are compared by bit length: a huge p builds nothing here
+    if (n - 1).bit_length() > 2 * p:
+        raise ValueError(f"cannot select {n} distinct cells from {4**p}")
+    wide = (n - 1).bit_length() > p  # n > 2^p
+    # the power is 2^(2pn) to within a factor 1 - 2^(p+1-pn)
+    log10 = _log10_perm(4**p, n) if wide else 2 * p * n * math.log10(2)
+    limit = sys.get_int_max_str_digits()
+    if limit and log10 >= limit:
+        raise ValueError(f"a count of {math.floor(log10) + 1} digits is past the "
+                         f"{limit}-digit limit on printing an integer")
+    if wide:
+        return math.perm(4**p, n)
     return 2 ** (p * n) * (2 ** (p * n) - 2 ** (p + 1) + 1)
 
 
-def format_count(value: int) -> str:
-    """A positive count in decimal.  Past the interpreter's int-to-str digit
-    limit this raises a ValueError that names the count's size instead."""
-    try:
-        return str(value)
-    except ValueError:
-        digits = math.floor(math.log10(value)) + 1
-        raise ValueError(f"a count of {digits} digits is past the "
-                         f"{sys.get_int_max_str_digits()}-digit limit on printing "
-                         "an integer") from None
+def _log10_perm(cells: int, n: int) -> float:
+    """log10 of perm(cells, n) without building it: lgamma(cells + 1) -
+    lgamma(cells - n + 1) while few cells are left over, else (as those
+    would cancel) Stirling's series of both, differenced term by term."""
+    left = cells - n
+    if left < 1 << 10:
+        ln = math.lgamma(cells + 1) - math.lgamma(left + 1)
+    else:
+        ln = (n * math.log(cells) - n + (left + 0.5) * math.log1p(n / left)
+              + 1 / (12 * cells) - 1 / (12 * left))
+    return ln / math.log(10)
 
 
 def _guard(rows: int, cols: int, n: int) -> None:
@@ -165,7 +174,7 @@ class CensusReport:
         rows = 1 << self.p
         out = [
             f"census p={self.p} n={self.n} (grid {rows}x{rows})",
-            f"  closed form:  {format_count(self.formula_value)}",
+            f"  closed form:  {self.formula_value}",
         ]
         if self.oracle_value is None:
             out.append(f"  oracle:       intractable (limit {ORACLE_LIMIT})")

@@ -53,14 +53,24 @@ class SelectionRuleError(ValueError):
         self.violation = violation
 
 
+class SpecFieldError(ValueError):
+    """A spec field that breaks the spec's structure, named by `field`."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _check_entries(entries: Sequence[Entry], slots: int, size: int) -> None:
     """Raise unless every entry holds `slots` indices in 1..size."""
-    for entry in entries:
+    for k, entry in enumerate(entries):
         if len(entry) != slots:
-            raise ValueError(f"selection entry {entry} does not hold {slots} indices")
+            raise SpecFieldError(f"selection entry {entry} does not hold {slots} "
+                                 "indices", f"selection[{k}]")
         for i in entry:
             if not 1 <= i <= size:
-                raise ValueError(f"index {i} outside the {size}-element basis")
+                raise SpecFieldError(f"index {i} outside the {size}-element basis",
+                                     f"selection[{k}]")
 
 
 # how rule messages word a selection, by slot count: a phrase per slot for
@@ -167,18 +177,17 @@ class ChannelSpec:
             raise ValueError("a channel needs at least 2 terms")
         if len(self.phases) != n or len(self.subset) != n:
             raise ValueError("selection, phases and controller subset must align")
+        if (1 << self.controller.l) < n:
+            raise SpecFieldError(f"{self.controller.l} controller qubits cannot "
+                                 f"key {n} terms", "controller")
         if len(set(self.subset)) != n:
-            raise ValueError("controller subset indices must be distinct")
+            raise SpecFieldError("controller subset indices must be distinct", "subset")
         for k in self.subset:
             if not 0 <= k < len(self.controller.elements):
-                raise ValueError(f"controller index {k} out of range")
-        if (1 << self.controller.l) < n:
-            raise ValueError(
-                f"{self.controller.l} controller qubits cannot key {n} terms"
-            )
-        for ph in self.phases:
+                raise SpecFieldError(f"controller index {k} out of range", "subset")
+        for k, ph in enumerate(self.phases):
             if not abs(abs(complex(ph)) - 1.0) <= qstate.TOLERANCE:
-                raise ValueError(f"phase {ph} is not unit modulus")
+                raise SpecFieldError(f"phase {ph} is not unit modulus", f"phases[{k}]")
         _check_entries(self.selection, self.slots, self.pair_basis.size)
 
     @property
@@ -255,14 +264,6 @@ def build_bcst_channel_unchecked(spec: ChannelSpec) -> tuple[StateVector, QubitL
                for m, v in enumerate(spec.pair_vectors()))
     layout = canonical_layout(spec.pair_basis.p, spec.slots, spec.controller.l)
     return StateVector(len(layout.roles), amps), layout
-
-
-def charlie_collapse_targets(spec: ChannelSpec, layout: QubitLayout) -> tuple[int, ...]:
-    """Register positions the controller must measure to disclose a term."""
-    pos = layout.controller_positions
-    if len(pos) != spec.controller.l:
-        raise ValueError("layout does not match the spec's controller size")
-    return pos
 
 
 def apply_layout(

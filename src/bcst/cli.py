@@ -111,7 +111,7 @@ def cmd_build(args) -> int:
 def cmd_census(args) -> int:
     if args.formula:
         value = census.formula_count(args.p, args.n)
-        print(f"closed form p={args.p} n={args.n}: {census.format_count(value)}")
+        print(f"closed form p={args.p} n={args.n}: {value}")
         return EXIT_OK
     if args.oracle:
         if args.p < 1 or args.n < 2:
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_RULE, str(exc))
     except census.IntractableError as exc:
         return _fail(EXIT_INTRACTABLE, str(exc))
-    except (OSError, ValueError, ProtocolError) as exc:
+    except (OSError, ValueError, OverflowError, ProtocolError) as exc:
         return _fail(EXIT_INPUT, str(exc))
 
 

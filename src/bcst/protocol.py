@@ -16,12 +16,7 @@ import numpy as np
 
 from . import qstate
 from .bases import BellKind, bell, bell_basis, complete_basis
-from .channel import (
-    ChannelSpec,
-    QubitLayout,
-    build_bcst_channel_unchecked,
-    charlie_collapse_targets,
-)
+from .channel import ChannelSpec, QubitLayout, build_bcst_channel_unchecked
 from .qstate import StateVector
 
 
@@ -166,23 +161,18 @@ def _prepared(spec: ChannelSpec) -> _Prepared:
     return _Prepared(state, layout, complete_basis(subset + rest))
 
 
-def charlie_disclose(
-    channel_state: StateVector,
-    spec: ChannelSpec,
-    layout: QubitLayout,
-    rng,
-):
-    """Controller measures its qubits in the keyed basis and announces m.
+def charlie_disclose(spec: ChannelSpec, rng):
+    """Controller measures its qubits of spec's channel in the keyed basis
+    and announces m.
 
     Returns (m, its Born probability, pair state with the controller
     factored out); with one generator per trial, m and the probability are
-    arrays over the trials.  For a sound channel the outcome always lands
-    inside the keyed subset; anything else means the state was not built
-    from this spec.
+    arrays over the trials.  The keyed subset holds all of the channel's
+    weight, so an outcome outside it means the sampling went wrong.
     """
-    targets = charlie_collapse_targets(spec, layout)
-    basis = _prepared(spec).basis
-    idx, prob, collapsed = qstate.measure_in_basis(channel_state, targets, basis, rng)
+    state, layout, basis = _prepared(spec)
+    targets = layout.controller_positions
+    idx, prob, collapsed = qstate.measure_in_basis(state, targets, basis, rng)
     if np.max(idx) >= spec.n:
         raise ProtocolError(
             f"collapse outcome {np.max(idx)} outside the keyed subset"
@@ -266,11 +256,10 @@ def run_bcst(
                 f"{len(rngs)} generators for a batch of {payload.batch} payloads"
             )
 
-    channel_state, layout, _ = _prepared(spec)
     # the disclosure acts on the controller alone, so it runs on the channel
     # (one projection shared by every trial) before the payloads join;
     # afterwards the register is [A1, B1, A2, B2, in_a, in_b]
-    m, p_m, pairs = charlie_disclose(channel_state, spec, layout, rngs)
+    m, p_m, pairs = charlie_disclose(spec, rngs)
     full = qstate.tensor(pairs, alice_in, bob_in)
     cells = [spec.selection[k] for k in m.tolist()]
 
@@ -325,7 +314,6 @@ class ControlReport:
 
     controlled: tuple[bool, bool]
     pair_purities: tuple[float, float]
-    conditionals_vary: tuple[bool, bool]
     mixture_trace_distance: float
 
     @property
@@ -349,7 +337,7 @@ def verify_control(spec: ChannelSpec) -> ControlReport:
     if spec.kind != "bcst":
         raise ProtocolError("control verification applies to bcst channel specs")
     state, layout, _ = _prepared(spec)
-    ctrl = charlie_collapse_targets(spec, layout)
+    ctrl = layout.controller_positions
     groups = layout.pair_groups()
     purities = tuple(qstate.purity(qstate.partial_trace(state, g)) for g in groups)
 
@@ -379,7 +367,6 @@ def verify_control(spec: ChannelSpec) -> ControlReport:
     return ControlReport(
         controlled=controlled,  # type: ignore[arg-type]
         pair_purities=purities,
-        conditionals_vary=vary,
         mixture_trace_distance=dist,
     )
 
@@ -470,8 +457,7 @@ def qd_round(
         if b not in (0, 1):
             raise ValueError("message bits must be 0 or 1")
 
-    state, layout, _ = _prepared(spec)
-    m, _, pair = charlie_disclose(state, spec, layout, rng)
+    m, _, pair = charlie_disclose(spec, rng)
     (i,) = spec.selection[m]
     initial = BellKind(i - 1)
 
@@ -479,11 +465,10 @@ def qd_round(
     u_a = QD_ENCODING[alice_bits]
     encoded = qstate.apply_unitary(pair, u_b.matrix, (0,))
     encoded = qstate.apply_unitary(encoded, u_a.matrix, (0,))
-    final_idx, prob, _ = qstate.measure_in_basis(
+    # a Pauli maps a Bell pair onto another, so this outcome is certain
+    final_idx, _, _ = qstate.measure_in_basis(
         encoded, (0, 1), bell_basis().elements, rng
     )
-    if prob < 1.0 - 1e-9:
-        raise ProtocolError("encoded pair was not a Bell state")
 
     decoded_bob = _decode_table()[initial, final_idx, u_a, False]
     decoded_alice = _decode_table()[initial, final_idx, u_b, True]

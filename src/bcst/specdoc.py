@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .bases import bell_basis, controller_basis, custom_controller_basis, ghz_basis
-from .channel import SLOTS, ChannelSpec, canonical_layout
+from .channel import SLOTS, ChannelSpec, SpecFieldError, canonical_layout
 from .qstate import MAX_QUBITS, StateVector, from_amplitudes
 
 DOCUMENT_VERSION = 1
@@ -295,8 +295,9 @@ def parse_spec_document(text: str) -> tuple[ChannelSpec, tuple[str, ...] | None]
             controller=controller,
             subset=subset,
         )
-    except ValueError as exc:
-        raise SpecDocumentError(str(exc))
+    except SpecFieldError as exc:  # the spec's subset is the controller's here
+        field = "controller.subset" if exc.field == "subset" else exc.field
+        raise SpecDocumentError(str(exc), field=field)
     return spec, layout
 
 
@@ -356,8 +357,8 @@ def write_amplitude_file(path, state: StateVector) -> None:
             fh.write(f"{k} {a.real:.17g} {a.imag:.17g}\n")
 
 
-def read_amplitude_file(path, *, atol: float = 1e-9) -> StateVector:
-    """Inverse of write_amplitude_file; norm checked within atol, then fixed."""
+def read_amplitude_file(path) -> StateVector:
+    """Inverse of write_amplitude_file; norm checked within 1e-9, then fixed."""
     rows: dict[int, complex] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -383,6 +384,6 @@ def read_amplitude_file(path, *, atol: float = 1e-9) -> StateVector:
         )
     amps = np.array([rows[k] for k in range(size)])
     try:
-        return from_amplitudes(amps, atol=atol)
+        return from_amplitudes(amps, atol=1e-9)
     except ValueError as exc:
         raise SpecDocumentError(str(exc))

@@ -72,8 +72,7 @@ def test_ghz_label_validation():
 
 @pytest.mark.parametrize("basis", [bell_basis(), ghz_basis()])
 def test_builtin_bases_orthonormal_and_complete(basis):
-    report = validate_orthonormal(basis.elements)
-    assert report.orthonormal and report.complete
+    validate_orthonormal(basis.elements)
     assert basis.size == 1 << basis.p
 
 
@@ -118,13 +117,13 @@ def test_controller_basis_dispatch():
 
 
 def test_validate_orthonormal_flags_failures():
-    dup = [ket("0"), ket("0")]
-    report = validate_orthonormal(dup)
-    assert not report.orthonormal
-    assert not bool(report)
-    assert report.max_deviation > 0.5
-    partial = validate_orthonormal([ket("00"), ket("01")])
-    assert partial.orthonormal and not partial.complete
+    # a duplicated state: the message names the worst pair and its deviation
+    with pytest.raises(ValueError, match=r"^states are not orthonormal: "
+                       r"pair \(0, 1\) deviates by 1$"):
+        validate_orthonormal([ket("0"), ket("0")])
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) deviates by 0\.707$"):
+        validate_orthonormal([ket("0"), from_amplitudes([1, 1], atol=1)])
+    validate_orthonormal([ket("00"), ket("01")])  # a partial set raises nothing
 
 
 def test_complete_basis_keeps_given_states_first():
@@ -132,7 +131,7 @@ def test_complete_basis_keeps_given_states_first():
     full = complete_basis(given_states)
     assert len(full) == 4
     assert full[0] is given_states[0] and full[1] is given_states[1]
-    assert validate_orthonormal(full).complete
+    validate_orthonormal(full)
     with pytest.raises(ValueError):
         complete_basis([ket("0"), from_amplitudes([1, 1], atol=2) ])
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bcst import protocol, qstate
 from bcst.bases import BellKind, bell_basis, controller_basis
 from bcst.catalog import catalog_entries, entry
-from bcst.channel import charlie_collapse_targets
 from bcst.cli import SIMULATE_CHUNK, main
 from bcst.protocol import _SMO_BY_BELL_INDEX, ProtocolError, correction, run_bcst
 from bcst.qstate import (
@@ -39,7 +38,7 @@ def reference_bell_measure(state, q_a, q_b, rng):
 
 
 def reference_charlie_disclose(channel_state, spec, layout, rng):
-    targets = charlie_collapse_targets(spec, layout)
+    targets = layout.controller_positions
     basis = protocol._prepared(spec).basis
     idx, _, collapsed = qstate.measure_in_basis(channel_state, targets, basis, rng)
     if idx >= spec.n:

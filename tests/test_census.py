@@ -2,6 +2,7 @@
 import collections
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -45,6 +46,53 @@ def test_formula_domain():
         formula_count(2, 1)
     with pytest.raises(ValueError):
         formula_count(0, 2)
+
+
+@pytest.mark.parametrize("p, n, digits", [(16, 65537, 631316), (16, 65536, 631306)])
+def test_formula_refuses_an_unprintable_count_before_building_it(p, n, digits):
+    # either branch's count would take a quarter of a megabyte; it is sized
+    # from logarithms and refused before any of it is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^a count of {digits} digits is "
+                           "past the 4300-digit limit on printing an integer$"):
+            formula_count(p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_formula_refuses_exactly_the_counts_past_the_digit_limit(limit):
+    """Within three digits of the limit, in both branches, the refusal and the
+    digit count it names agree with the exact count."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    near = 0
+    try:
+        for p in range(1, 25):
+            cells, falling = 4**p, 1
+            for n in range(1, cells + 1):  # the count grows with n
+                falling *= cells - n + 1
+                exact = falling if n > 2**p else (
+                    2 ** (p * n) * (2 ** (p * n) - 2 ** (p + 1) + 1))
+                size = exact.bit_length() * math.log10(2)
+                if size > limit + 3:
+                    break
+                if n < 2 or size < limit - 3:
+                    continue
+                near += 1
+                digits = math.floor(math.log10(exact)) + 1
+                assert 10 ** (digits - 1) <= exact < 10**digits
+                if digits <= limit:
+                    assert formula_count(p, n) == exact
+                else:
+                    with pytest.raises(ValueError, match=f"^a count of {digits} "):
+                        formula_count(p, n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert near >= 10
 
 
 def test_oracle_tiny_grid_by_hand():

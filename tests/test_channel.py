@@ -16,7 +16,6 @@ from bcst.channel import (
     build_bcst_channel,
     build_bcst_channel_unchecked,
     canonical_layout,
-    charlie_collapse_targets,
     qd_spec,
     validate_selection,
 )
@@ -125,13 +124,13 @@ def test_pair_groups_hold_one_position_tuple_per_slot():
 
 
 @pytest.mark.parametrize("l,expected", [(1, (4,)), (2, (4, 5)), (3, (4, 5, 6))])
-def test_charlie_collapse_targets(l, expected):
+def test_controller_positions(l, expected):
     family = "ghz" if l == 3 else "computational"
     n = 2 if l == 1 else 4
     sel = [(1, 1), (2, 2), (3, 3), (4, 4)][:n]
     spec = bcst_spec(sel, controller_basis(family, l), subset=range(n))
     _, layout = build_bcst_channel(spec)
-    assert charlie_collapse_targets(spec, layout) == expected
+    assert layout.controller_positions == expected
 
 
 def test_apply_layout_roundtrip():
@@ -178,7 +177,7 @@ def test_every_enumerated_selection_builds_a_sound_channel():
         spec = bcst_spec(sel, HAD1)
         state, layout = build_bcst_channel(spec)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
-        ctrl = charlie_collapse_targets(spec, layout)
+        ctrl = layout.controller_positions
         for m, (i, j) in enumerate(spec.selection):
             prob, resid = split_factor(state, ctrl, spec.controller_states()[m])
             assert prob == pytest.approx(1.0 / spec.n, abs=1e-12)
@@ -192,7 +191,7 @@ def test_disclosure_decomposability_random_specs():
     for _ in range(30):
         spec = random_spec(rng)
         state, layout = build_bcst_channel(spec)
-        ctrl = charlie_collapse_targets(spec, layout)
+        ctrl = layout.controller_positions
         for m, (i, j) in enumerate(spec.selection):
             prob, resid = split_factor(state, ctrl, spec.controller_states()[m])
             assert prob == pytest.approx(1.0 / spec.n, abs=1e-12)

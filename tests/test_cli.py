@@ -539,7 +539,8 @@ FAILURES = [
      "error: A1,A1,B1,B2,C1 is not a permutation of A1,B1,A2,B2,C1 (field 'layout')\n"),
     (("build", "huge-phase.json", "missing"), EXIT_INPUT,
      "error: number past the double range (field 'phases[1]')\n"),
-    (("build", "huge-power.json", "missing"), EXIT_INPUT, "is not unit modulus"),
+    (("build", "huge-power.json", "missing"), EXIT_INPUT,
+     "error: phase (8.289046e-317+0j) is not unit modulus (field 'phases[1]')\n"),
     (("build", "l11.json", "missing"), EXIT_INPUT,
      "error: 11 controller qubits do not fit the 12-qubit register, which has "
      "room for 8 beside the pairs (field 'controller.l')\n"),
@@ -560,6 +561,9 @@ FAILURES = [
     (("census", "100", "100"), EXIT_INPUT, "a count of 6021 digits is past the"),
     (("census", "100", "100", "--formula"), EXIT_INPUT,
      "a count of 6021 digits is past the"),
+    (("census", "20", "1048577", "--formula"), EXIT_INPUT, "error: a count of "
+     "12626125 digits is past the 4300-digit limit on printing an integer\n"),
+    (("census", "24", "16777216"), EXIT_INPUT, "a count of 242421373 digits"),
     (("simulate", "zha5.json", "--trials", "0"), EXIT_INPUT, "--trials must be"),
     (("simulate", "zha5.json", "--trials", "100000000000000000000"), EXIT_INPUT,
      "is too large"),
@@ -605,6 +609,14 @@ def test_every_failure_exits_with_its_code_and_one_error_line(
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_a_census_too_large_to_size_exits_1(capsys):
+    # the 4^600 cells of this grid are past the double range that sizes the
+    # closed form, so the size check fails as an input error, not a traceback
+    code, out, err = run_cli(capsys, "census", "600", str(2**600 + 1), "--formula")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: int too large to convert "
+                                "to float\n")
 
 
 def test_simulate_spawns_one_pass_of_seeds_at_a_time(tmp_path, capsys, monkeypatch):

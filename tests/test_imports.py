@@ -1,6 +1,7 @@
 """Every module of the package, the tests and the scripts uses each name it
-imports at module level."""
+imports at module level, and every name the benchmark tracer wraps exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,15 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # perfbench/tracer.py wraps each (module, name) of TRACED under --trace 1;
+    # a cut that deletes or renames one fails here rather than only there
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    missing = [f"{module}.{name}" for module, name in traced
+               if not hasattr(importlib.import_module(f"bcst.{module}"), name)]
+    assert len(traced) > 30 and missing == []

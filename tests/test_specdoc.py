@@ -277,6 +277,33 @@ def test_parse_defers_rule_checks_to_the_builder():
         build_bcst_channel(spec)
 
 
+@pytest.mark.parametrize("changes, message, field", [
+    ({"phases": [1, {"num": 1, "den_sqrt2_power": 2100}]},
+     "phase (8.289046e-317+0j) is not unit modulus", "phases[1]"),
+    ({"selection": [[1, 5], [2, 2]]}, "index 5 outside the 4-element basis",
+     "selection[0]"),
+    ({"kind": "qd", "selection": [1, 0]}, "index 0 outside the 4-element basis",
+     "selection[1]"),
+    ({"controller": {"family": "computational", "l": 1, "subset": [1, 1]}},
+     "controller subset indices must be distinct", "controller.subset"),
+    ({"controller": {"family": "computational", "l": 1, "subset": [0, -1]}},
+     "controller index -1 out of range", "controller.subset"),
+    ({"selection": [[1, 1], [2, 3], [3, 2]], "phases": [1, 1, 1]},
+     "1 controller qubits cannot key 3 terms", "controller"),
+    ({"selection": [[1, 1], [2, 3], [3, 2]], "phases": [1, 1, 1],
+      "controller": {"custom": [[1, 0], [0, 1]], "subset": [0, 1, 1]}},
+     "1 controller qubits cannot key 3 terms", "controller"),
+], ids=["phase", "bcst-index", "qd-index", "repeated-subset-index",
+        "subset-index-out-of-range", "family-too-small", "custom-too-small"])
+def test_spec_check_failures_name_their_field(changes, message, field):
+    # ChannelSpec makes these checks; the document names the field it read
+    doc = dict(_doc(family="computational", l=1), **changes)
+    with pytest.raises(SpecDocumentError) as err:
+        parse_spec_document(json.dumps(doc))
+    assert str(err.value) == f"{message} (field {field!r})"
+    assert err.value.field == field
+
+
 # ---- amplitude files ---------------------------------------------------------
 
 def test_amplitude_file_round_trip(tmp_path):
