@@ -219,6 +219,8 @@ def corpus_argvs() -> list[list[str]]:
         "subset-repeated.json", "subset-out-of-range.json",
         "few-controller-qubits.json")]
     cases += [["census", "16", "65537", "--formula"]]
+    # exhaustive counts over grids too wide to print or to build
+    cases += [["census", p, "2", "--oracle"] for p in ("7200", "3000", "16000000")]
     return cases
 
 
