@@ -11,22 +11,23 @@ import argparse
 
 import numpy as np
 
-from bcst import bcst_spec, run_bcst, validate_selection, verify_control
-from bcst.catalog import candidate_bases, entry
+from bcst import bcst_spec, controller_basis, run_bcst, validate_selection, verify_control
+from bcst.catalog import entry
 from bcst.qstate import random_state
 
 
 def draw_spec(rng: np.random.Generator, n: int):
     """Rejection-sample a rule-respecting ordered selection, then dress it
-    with a random controller family (one of the recognizer's candidates),
-    keyed subset and +-1 phases."""
+    with a random controller family (one of the 2^l z/x axis products, or
+    GHZ at l = 3), keyed subset and +-1 phases."""
     while True:
         cells = [(int(i), int(j)) for i, j in rng.integers(1, 5, size=(n, 2))]
         if len(set(cells)) == n and validate_selection(cells, 4) is None:
             break
     l = max(1, (n - 1).bit_length())
-    families = candidate_bases(l)
-    controller = families[int(rng.integers(len(families)))]
+    k = int(rng.integers((1 << l) + (l == 3)))
+    axes = "".join("zx"[int(b)] for b in format(k, f"0{l}b"))
+    controller = controller_basis("ghz" if k >> l else f"axes:{axes}", l)
     subset = [int(k) for k in rng.choice(1 << l, size=n, replace=False)]
     phases = [int(s) for s in rng.choice([-1, 1], size=n)]
     return bcst_spec(cells, controller, subset=subset, phases=phases)

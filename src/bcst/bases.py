@@ -14,9 +14,11 @@ from enum import IntEnum
 import numpy as np
 
 from . import qstate
-from .qstate import StateVector, ket, tensor
+from .qstate import StateVector, tensor
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# one qubit's eigenstates per axis, indexed by bit: |0>, |1> and |+>, |->
+_AXIS_STATES = {"z": np.eye(2), "x": np.array([[1, 1], [1, -1]]) * _INV_SQRT2}
 
 
 class BellKind(IntEnum):
@@ -132,25 +134,18 @@ def validate_orthonormal(states) -> None:
 def product_axis_basis(axes: str) -> ControllerBasis:
     """Product basis with a measurement axis per qubit: 'z' gives |0>,|1>,
     'x' gives |+>,|->.  Elements are ordered by the binary counter over per-
-    qubit choices (bit 0 selects |0> or |+>)."""
+    qubit choices (bit 0 selects |0> or |+>), and built by one batched tensor
+    product whose factor q holds qubit q's state in element k as row k."""
     if not axes or any(a not in "zx" for a in axes):
         raise ValueError(f"axes must be a string over 'z'/'x', got {axes!r}")
     l = len(axes)
-    elements = []
-    for idx in range(1 << l):
-        parts = []
-        for pos, axis in enumerate(axes):
-            bit = (idx >> (l - 1 - pos)) & 1
-            if axis == "z":
-                parts.append(ket("1" if bit else "0"))
-            else:
-                sign = -1 if bit else 1
-                parts.append(StateVector(1, np.array([1, sign]) * _INV_SQRT2))
-        elements.append(tensor(*parts))
+    bits = (np.arange(1 << l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
+    factors = [StateVector(1, _AXIS_STATES[a][bits[:, q]]) for q, a in enumerate(axes)]
+    elements = tuple(StateVector(l, row) for row in tensor(*factors).amplitudes)
     name = {"z" * l: "computational", "x" * l: "hadamard-product"}.get(
         axes, f"axes:{axes}"
     )
-    return ControllerBasis(name, l, tuple(elements))
+    return ControllerBasis(name, l, elements)
 
 
 def controller_basis(name: str, l: int) -> ControllerBasis:

@@ -13,15 +13,14 @@ recognize() runs the construction backwards.  In the cell-coefficient matrix
 C (the amplitudes expanded over the pair-grid cells: one row per cell, one
 column per controller amplitude) the nonzero rows are the selected cells and
 each row is its term's phase times its controller state, so the terms are
-read off C and the controller family is the candidate basis that contains
-those rows.
+read off C, and so is the controller family: the axis product whose z qubits
+are the first row's certain bits, or GHZ at l = 3, must contain every row.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -196,15 +195,16 @@ def literal_state(entry_id: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # recognition: decompose an amplitude vector back into a channel spec
 
-@cache
-def candidate_bases(l: int) -> tuple[ControllerBasis, ...]:
-    """Default controller-basis candidates for an l-qubit controller, built
-    once per l: every per-qubit z/x measurement-axis product (all-z and all-x
-    first), plus the GHZ basis when l = 3."""
-    axes = ["z" * l, "x" * l]
-    axes += [a for a in map("".join, itertools.product("zx", repeat=l)) if a not in axes]
-    out = tuple(controller_basis(f"axes:{a}", l) for a in axes)
-    return out + (controller_basis("ghz", 3),) if l == 3 else out
+def candidate_bases(key: np.ndarray) -> Iterator[ControllerBasis]:
+    """Default controller-basis candidates for a normalized l-qubit key, each
+    built when the scan reaches it: the one z/x axis product that can hold
+    the key (qubit q is z exactly when P(bit q = 1) is 0 or 1, not 1/2), then
+    the GHZ basis when l = 3."""
+    l = key.size.bit_length() - 1
+    bits = (np.arange(key.size)[:, None] >> np.arange(l - 1, -1, -1)) & 1
+    axes = "".join("z" if abs(prob - 0.5) > 0.25 else "x" for prob in np.abs(key) ** 2 @ bits)
+    families = [f"axes:{axes}"] + (["ghz"] if l == 3 else [])
+    return (controller_basis(name, l) for name in families)
 
 
 def recognize(
@@ -227,13 +227,13 @@ def recognize(
     phase_m a_m / sqrt(n) for the term on cell (i, j) and zero elsewhere.
     B (x) B is a basis, so the nonzero rows are the only decomposition into
     distinct cells.  There must be at least 2, each of weight 1/n; the family
-    is the first candidate whose elements contain every normalized row up to
-    a phase, and the terms are ordered by controller index.  The chosen terms
-    are then checked densely: split_factor per term (weight 1/n, residual a
-    single grid product whose overlap gives the phase), and the rebuilt
-    channel must reproduce the state.  A state that decomposes only with
-    repeated cells (rows that no single family element matches) is not
-    recognized.
+    is the first candidate (by default candidate_bases of the first row)
+    whose elements contain every normalized row up to a phase, and the terms
+    are ordered by controller index.  The chosen terms are then checked
+    densely: split_factor per term (weight 1/n, residual a single grid
+    product whose overlap gives the phase), and the rebuilt channel must
+    reproduce the state.  A state that decomposes only with repeated cells
+    (rows that no single family element matches) is not recognized.
     """
     tol = 1e-9  # how far a weight or an overlap may sit from its value
     pb = pair_basis if pair_basis is not None else bell_basis()
@@ -254,9 +254,7 @@ def recognize(
         return None
     keys = coeffs[rows] / np.sqrt(weights[rows])[:, None]
 
-    if candidates is None:
-        candidates = candidate_bases(l)
-    for cand in candidates:
+    for cand in candidate_bases(keys[0]) if candidates is None else candidates:
         if cand.l != l:
             continue
         elems = np.stack([a.amplitudes for a in cand.elements])

@@ -75,14 +75,24 @@ def _log10_perm(cells: int, n: int) -> float:
 def _guard(rows: int, cols: int, n: int) -> None:
     if rows < 2 or cols < 2 or n < 2:
         raise ValueError("need rows, cols and n all >= 2")
-    if n > rows * cols:
-        raise ValueError(f"cannot select {n} distinct cells from {rows * cols}")
-    # rows * cols >= 4 puts every n > 64 past the limit: the cap keeps a huge
-    # n from building a huge power, which the message never prints in full
-    if (rows * cols) ** min(n, 64) > ORACLE_LIMIT:
-        raise IntractableError(
-            f"{rows * cols}^{n} tuples exceed the exhaustive limit {ORACLE_LIMIT}"
-        )
+    cells = rows * cols
+    if n > cells:
+        raise ValueError(f"cannot select {n} distinct cells from {cells}")
+    # cells^n >= 2^((bits - 1) n), which passes the limit once the exponent
+    # reaches the limit's bit length: a wide grid builds no power of itself
+    if (cells.bit_length() - 1) * n >= ORACLE_LIMIT.bit_length() or cells**n > ORACLE_LIMIT:
+        raise IntractableError(f"{cells}^{n} tuples exceed the exhaustive limit {ORACLE_LIMIT}")
+
+
+def grid_oracle_count(p: int, n: int) -> int:
+    """oracle_count on the 2^p x 2^p grid, refused from p and n before 2^p is built."""
+    if p < 1 or n < 2:
+        raise ValueError("need p >= 1 and n >= 2")
+    # 4^(pn) tuples; an n past the 4^p cells is oracle_count's input error
+    if (n - 1).bit_length() <= 2 * p and 2 * p * n >= ORACLE_LIMIT.bit_length():
+        base = 4**p if p < 32 else f"(4^{p})"  # in digits while 4^p < 2^64
+        raise IntractableError(f"{base}^{n} tuples exceed the exhaustive limit {ORACLE_LIMIT}")
+    return oracle_count(1 << p, 1 << p, n)
 
 
 def oracle_count(rows: int, cols: int, n: int) -> int:
@@ -197,10 +207,9 @@ def census_report(p: int, n: int) -> CensusReport:
     vs oracle mismatch is a reportable finding, never an exception.
     """
     formula = formula_count(p, n)
-    size = 1 << p
     try:
-        oracle = oracle_count(size, size, n)
-        constructive = sum(1 for _ in enumerate_selections(size, size, n))
+        oracle = grid_oracle_count(p, n)
+        constructive = sum(1 for _ in enumerate_selections(1 << p, 1 << p, n))
     except IntractableError:
         oracle = constructive = None
     l = max(1, math.ceil(math.log2(n)))

@@ -114,10 +114,7 @@ def cmd_census(args) -> int:
         print(f"closed form p={args.p} n={args.n}: {value}")
         return EXIT_OK
     if args.oracle:
-        if args.p < 1 or args.n < 2:
-            return _fail(EXIT_INPUT, "need p >= 1 and n >= 2")
-        size = 1 << args.p
-        value = census.oracle_count(size, size, args.n)
+        value = census.grid_oracle_count(args.p, args.n)
         print(f"oracle p={args.p} n={args.n}: {value}")
         return EXIT_OK
     report = census.census_report(args.p, args.n)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,16 @@ from bcst.bases import (
     product_axis_basis,
     validate_orthonormal,
 )
-from bcst.qstate import fidelity_up_to_phase, from_amplitudes, inner, ket, partial_trace, purity
+from bcst.qstate import (
+    StateVector,
+    fidelity_up_to_phase,
+    from_amplitudes,
+    inner,
+    ket,
+    partial_trace,
+    purity,
+    tensor,
+)
 
 S2 = np.sqrt(2)
 
@@ -94,6 +105,33 @@ def test_product_axis_basis_counter_ordering():
     np.testing.assert_allclose(zx.elements[1].amplitudes, np.kron([1, 0], minus))
     np.testing.assert_allclose(zx.elements[2].amplitudes, np.kron([0, 1], plus))
     assert zx.name == "axes:zx"
+
+
+def per_element_axis_basis(axes: str) -> list:
+    """The axis-product elements one tensor product of single-qubit states at
+    a time, as product_axis_basis built them before it batched the counter."""
+    l = len(axes)
+    elements = []
+    for idx in range(1 << l):
+        parts = []
+        for pos, axis in enumerate(axes):
+            bit = (idx >> (l - 1 - pos)) & 1
+            if axis == "z":
+                parts.append(ket("1" if bit else "0"))
+            else:
+                parts.append(StateVector(1, np.array([1, -1 if bit else 1]) * (1 / S2)))
+        elements.append(tensor(*parts))
+    return elements
+
+
+def test_product_axis_basis_is_bit_identical_to_the_per_element_build():
+    # same products in the same order, so every amplitude is the same double
+    for l in range(1, 7):
+        for axes in map("".join, itertools.product("zx", repeat=l)):
+            got = product_axis_basis(axes).elements
+            want = per_element_axis_basis(axes)
+            assert [e.amplitudes.tobytes() for e in got] == [
+                e.amplitudes.tobytes() for e in want], axes
 
 
 def test_product_axis_basis_degenerate_names():

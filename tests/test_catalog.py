@@ -1,5 +1,7 @@
 """Published channel catalog and the spec recognizer."""
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,25 +121,48 @@ def test_duplicated_cell_variant_equals_its_two_term_twin():
 
 # ---- recognition -----------------------------------------------------------------
 
-def test_candidate_bases_are_built_once_per_size():
-    assert isinstance(candidate_bases(2), tuple)
-    assert candidate_bases(2) is candidate_bases(2)
+@functools.cache
+def all_families(l: int) -> tuple:
+    """Every z/x axis-product family on l qubits, all-z and all-x first, plus
+    GHZ at l = 3: the candidate list recognize() once scanned in full."""
+    axes = ["z" * l, "x" * l]
+    axes += [a for a in map("".join, itertools.product("zx", repeat=l)) if a not in axes]
+    out = tuple(controller_basis(f"axes:{a}", l) for a in axes)
+    return out + (controller_basis("ghz", 3),) if l == 3 else out
 
 
 @pytest.mark.parametrize("l", sorted(FAMILIES_BY_L))
 def test_helper_families_are_recognizer_candidates(l):
-    names = {b.name for b in candidate_bases(l)}
-    assert set(FAMILIES_BY_L[l]) <= names
+    for family in FAMILIES_BY_L[l]:
+        for element in controller_basis(family, l).elements:
+            assert family in {b.name for b in candidate_bases(element.amplitudes)}
 
 
 def test_candidate_bases_cover_the_axis_products():
-    names1 = [b.name for b in candidate_bases(1)]
-    assert names1 == ["computational", "hadamard-product"]
-    names2 = [b.name for b in candidate_bases(2)]
-    assert names2[:2] == ["computational", "hadamard-product"]
-    assert "axes:zx" in names2 and "axes:xz" in names2
-    names3 = [b.name for b in candidate_bases(3)]
-    assert names3[-1] == "ghz" and "axes:zxz" in names3
+    # every element of every axis product with l <= 5 gets its own family
+    # alone, then GHZ at l = 3; each GHZ element gets GHZ among its candidates
+    for l in range(1, 6):
+        for family in all_families(l):
+            for element in family.elements:
+                names = [b.name for b in candidate_bases(element.amplitudes)]
+                if family.name == "ghz":
+                    assert "ghz" in names
+                else:
+                    assert names == [family.name] + (["ghz"] if l == 3 else [])
+
+
+def test_recognize_builds_one_family_for_a_large_controller():
+    # an l = 8 controller: one 256-element family is built, not all 2^8
+    spec = bcst_spec([(1, 1), (2, 3)], controller_basis("computational", 8))
+    state, _ = build_bcst_channel(spec)
+    tracemalloc.start()
+    try:
+        recovered = recognize(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec_key(recovered) == spec_key(spec)
+    assert peak < 32 << 20
 
 
 def test_recognize_prefers_the_decomposing_family():
@@ -259,7 +284,7 @@ def reference_recognize(state, layout=None, candidates=None, pair_basis=None, *,
     desired = list(group1 + group2)
     perm = tuple(remaining.index(q) for q in desired)
     if candidates is None:
-        candidates = candidate_bases(l)
+        candidates = all_families(l)
     grid = [
         (i, j, np.kron(pb.elements[i - 1].amplitudes, pb.elements[j - 1].amplitudes))
         for i in range(1, pb.size + 1)
@@ -326,14 +351,14 @@ def assert_agrees_with_reference(state, layout, pair_basis):
 @st.composite
 def drawn_specs(draw):
     """Rule-valid spec on Bell pairs (l = 1..3) or GHZ pairs (l <= 3), keyed
-    to a candidate family, with phases from {+-1, +-i}."""
+    to any axis-product family (or GHZ at l = 3), with phases from {+-1, +-i}."""
     pb = draw(st.sampled_from([bell_basis(), ghz_basis()]))
     l = draw(st.integers(1, 3))
     n = draw(st.integers(2, 1 << l))
     cell = st.tuples(st.integers(1, pb.size), st.integers(1, pb.size))
     cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True)
                  .filter(lambda c: validate_selection(c, pb.size) is None))
-    controller = draw(st.sampled_from(candidate_bases(l)))
+    controller = draw(st.sampled_from(all_families(l)))
     subset = draw(st.permutations(range(1 << l)))[:n]
     phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=n, max_size=n))
     return bcst_spec(cells, controller, subset, phases, pb)

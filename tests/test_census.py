@@ -16,6 +16,7 @@ from bcst.census import (
     census_report,
     enumerate_selections,
     formula_count,
+    grid_oracle_count,
     multiplicity_factor,
     oracle_count,
 )
@@ -124,6 +125,32 @@ def test_oracle_n2_closed_form(r, c):
 def test_oracle_guard():
     with pytest.raises(IntractableError):
         oracle_count(4, 4, 8)  # 16^8 tuples
+
+
+def test_grid_oracle_count_refuses_what_the_oracle_guard_refuses():
+    # the check sized from p and n gives the guard's verdict and message on
+    # every grid small enough to build (the count itself is not run)
+    def outcome(fn):
+        try:
+            fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+    with mock.patch.object(census, "oracle_count", census._guard):
+        for p, n in itertools.product(range(1, 8), range(2, 20)):
+            guard = outcome(lambda: census._guard(1 << p, 1 << p, n))
+            assert outcome(lambda: grid_oracle_count(p, n)) == guard, (p, n)
+
+
+def test_grid_oracle_count_refuses_a_huge_p_before_building_its_grid():
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntractableError) as exc:
+            grid_oracle_count(10**12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "(4^1000000000000)^2 tuples exceed the exhaustive limit 100000000"
+    assert peak < 1 << 16
 
 
 def test_enumerator_agrees_with_oracle():

@@ -554,6 +554,12 @@ FAILURES = [
      "^100 tuples exceed the exhaustive limit"),
     (("census", "100", "1000000000", "--oracle"), EXIT_INTRACTABLE,
      "^1000000000 tuples exceed the exhaustive limit"),
+    (("census", "7200", "2", "--oracle"), EXIT_INTRACTABLE,
+     "error: (4^7200)^2 tuples exceed the exhaustive limit 100000000\n"),
+    (("census", "3000", "2", "--oracle"), EXIT_INTRACTABLE,
+     "error: (4^3000)^2 tuples exceed the exhaustive limit 100000000\n"),
+    (("census", "16000000", "2", "--oracle"), EXIT_INTRACTABLE,
+     "error: (4^16000000)^2 tuples exceed the exhaustive limit 100000000\n"),
     (("census", "2", "7"), EXIT_INTRACTABLE, "exhaustive counters skipped"),
     (("census", "-1", "3", "--oracle"), EXIT_INPUT, "need p >= 1 and n >= 2"),
     (("census", "2", "1"), EXIT_INPUT, "need p >= 1 and n >= 2"),
