@@ -13,8 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import qstate
-from .qstate import StateVector, tensor
+from .qstate import StateVector, tensor, validate_orthonormal
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # one qubit's eigenstates per axis, indexed by bit: |0>, |1> and |+>, |->
@@ -106,29 +105,9 @@ class ControllerBasis:
     elements: tuple[StateVector, ...]
 
     def __post_init__(self):
-        if len(self.elements) != 1 << self.l:
-            raise ValueError(
-                f"{len(self.elements)} elements do not form a complete basis "
-                f"on {self.l} qubits"
-            )
-        validate_orthonormal(self.elements)
-
-
-def validate_orthonormal(states) -> None:
-    """Raise ValueError unless the states are pairwise orthonormal within
-    tolerance; the message names the worst pair and its deviation."""
-    states = list(states)
-    if not states:
-        raise ValueError("no states given")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise ValueError("states live on different registers")
-    b = np.stack([s.amplitudes for s in states])
-    dev = np.abs(b.conj() @ b.T - np.eye(len(states)))
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if not dev[i, j] <= qstate.TOLERANCE:
-        raise ValueError(f"states are not orthonormal: pair ({i}, {j}) "
-                         f"deviates by {dev[i, j]:.3g}")
+        if validate_orthonormal(self.elements).shape != (1 << self.l, 1 << self.l):
+            raise ValueError(f"{len(self.elements)} elements do not form a complete basis "
+                             f"on {self.l} qubits")
 
 
 def product_axis_basis(axes: str) -> ControllerBasis:
@@ -173,18 +152,15 @@ def complete_basis(elements) -> tuple[StateVector, ...]:
     The given states come first, unchanged; the completion is deterministic.
     """
     elements = tuple(elements)
-    validate_orthonormal(elements)
-    dim = elements[0].dim
-    n = len(elements)
+    b = validate_orthonormal(elements)
+    n, dim = b.shape
     if n == dim:
         return elements
     if n > dim:
         raise ValueError("more states than the space can hold")
-    m = np.stack([e.amplitudes.conj() for e in elements])
-    _, _, vh = np.linalg.svd(m, full_matrices=True)
-    extra = vh[n:].conj()
+    _, _, vh = np.linalg.svd(b.conj(), full_matrices=True)
     nq = elements[0].num_qubits
-    return elements + tuple(StateVector(nq, row) for row in extra)
+    return elements + tuple(StateVector(nq, row) for row in vh[n:].conj())
 
 
 def custom_controller_basis(elements) -> ControllerBasis:

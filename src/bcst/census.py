@@ -3,11 +3,11 @@
 formula_count evaluates the published closed-form expression for the number
 of ordered rule-respecting selections over the 2^p x 2^p grid.  oracle_count
 filters every one of the (rows*cols)^n ordered cell tuples through the
-structural rules.  enumerate_selections generates only duplicate-free tuples
-and filters the row/column rule, in lexicographic order.  The oracle and the
-enumerator must always agree; the closed form differs from them for
-3 <= n <= 2^p, and census_report records that honestly rather than
-reconciling it.
+structural rules in numpy.  enumerate_selections, plain itertools, generates
+only duplicate-free tuples, drops per first cell those that keep to its row
+or column, and yields in lexicographic order.  The two exhaustive counters
+share no method and must always agree; the closed form differs from them
+for 3 <= n <= 2^p, and census_report records that rather than reconciling it.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .channel import PairCell
 
 ORACLE_LIMIT = 10**8
 _CHUNK = 1 << 18
-_BLOCK = 1 << 13
 
 
 class IntractableError(ValueError):
@@ -46,11 +45,17 @@ def formula_count(p: int, n: int) -> int:
         raise ValueError("need p >= 1 and n >= 2")
     # powers of 2 are compared by bit length: a huge p builds nothing here
     if (n - 1).bit_length() > 2 * p:
-        raise ValueError(f"cannot select {n} distinct cells from {4**p}")
+        raise ValueError(f"cannot select {_shown(n)} distinct cells from {_shown(4**p)}")
     wide = (n - 1).bit_length() > p  # n > 2^p
+    limit = sys.get_int_max_str_digits()
+    # the count is at least 2^bits (n! >= 2^(n-1) when wide); from 2^66 bits
+    # on it passes any limit, and no float holds its logarithm
+    bits = n - 1 if wide else p * n
+    if limit and bits >> 66:
+        raise ValueError(f"a count of over 2^{bits.bit_length() - 1} bits is past the "
+                         f"{limit}-digit limit on printing an integer")
     # the power is 2^(2pn) to within a factor 1 - 2^(p+1-pn)
     log10 = _log10_perm(4**p, n) if wide else 2 * p * n * math.log10(2)
-    limit = sys.get_int_max_str_digits()
     if limit and log10 >= limit:
         raise ValueError(f"a count of {math.floor(log10) + 1} digits is past the "
                          f"{limit}-digit limit on printing an integer")
@@ -72,16 +77,22 @@ def _log10_perm(cells: int, n: int) -> float:
     return ln / math.log(10)
 
 
+def _shown(x: int) -> str:
+    """x in digits below 2^64, else by bit length (it may be past the print limit)."""
+    return str(x) if x.bit_length() <= 64 else f"({x.bit_length()}-bit number)"
+
+
 def _guard(rows: int, cols: int, n: int) -> None:
     if rows < 2 or cols < 2 or n < 2:
         raise ValueError("need rows, cols and n all >= 2")
     cells = rows * cols
     if n > cells:
-        raise ValueError(f"cannot select {n} distinct cells from {cells}")
+        raise ValueError(f"cannot select {_shown(n)} distinct cells from {_shown(cells)}")
     # cells^n >= 2^((bits - 1) n), which passes the limit once the exponent
     # reaches the limit's bit length: a wide grid builds no power of itself
     if (cells.bit_length() - 1) * n >= ORACLE_LIMIT.bit_length() or cells**n > ORACLE_LIMIT:
-        raise IntractableError(f"{cells}^{n} tuples exceed the exhaustive limit {ORACLE_LIMIT}")
+        raise IntractableError(f"{_shown(cells)}^{_shown(n)} tuples exceed the "
+                               f"exhaustive limit {ORACLE_LIMIT}")
 
 
 def grid_oracle_count(p: int, n: int) -> int:
@@ -90,8 +101,9 @@ def grid_oracle_count(p: int, n: int) -> int:
         raise ValueError("need p >= 1 and n >= 2")
     # 4^(pn) tuples; an n past the 4^p cells is oracle_count's input error
     if (n - 1).bit_length() <= 2 * p and 2 * p * n >= ORACLE_LIMIT.bit_length():
-        base = 4**p if p < 32 else f"(4^{p})"  # in digits while 4^p < 2^64
-        raise IntractableError(f"{base}^{n} tuples exceed the exhaustive limit {ORACLE_LIMIT}")
+        base = 4**p if p < 32 else f"(4^{_shown(p)})"  # in digits while 4^p < 2^64
+        raise IntractableError(f"{base}^{_shown(n)} tuples exceed the "
+                               f"exhaustive limit {ORACLE_LIMIT}")
     return oracle_count(1 << p, 1 << p, n)
 
 
@@ -138,25 +150,22 @@ def enumerate_selections(rows: int, cols: int, n: int) -> Iterator[tuple[PairCel
     """Yield valid ordered selections (1-based cells) in lexicographic order.
 
     Constructive counterpart to oracle_count: only duplicate-free tuples are
-    generated (itertools.permutations), and each is tested against the
-    row/column rule.  The test runs in numpy on blocks of the same
-    permutations taken as flat cell indices, and itertools.compress keeps
-    the valid cell tuples of each block.
+    generated (itertools.permutations), one first cell at a time.  A
+    selection breaks Rule 1 only when its other n - 1 cells all lie in the
+    first cell's row or all in its column, so each first cell drops just
+    the orderings of those two short lines.
     """
     _guard(rows, cols, n)
     cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-    tuples = itertools.permutations(cells, n)
-    flat = itertools.permutations(range(rows * cols), n)
-    while True:
-        block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(flat, _BLOCK)), dtype=np.intp
-        ).reshape(-1, n)
-        if not block.size:
-            return
-        r = block // cols
-        c = block % cols
-        ok = ~np.all(r == r[:, :1], axis=1) & ~np.all(c == c[:, :1], axis=1)
-        yield from itertools.compress(itertools.islice(tuples, len(ok)), ok.tolist())
+    for k, first in enumerate(cells):
+        i, j = divmod(k, cols)
+        rest = cells[:k] + cells[k + 1:]
+        # the other cells of the first cell's row and of its column
+        row = cells[i * cols:k] + cells[k + 1:(i + 1) * cols]
+        col = cells[j:k:cols] + cells[k + cols::cols]
+        broken = {*itertools.permutations(row, n - 1), *itertools.permutations(col, n - 1)}
+        kept = itertools.filterfalse(broken.__contains__, itertools.permutations(rest, n - 1))
+        yield from map((first,).__add__, kept)
 
 
 def multiplicity_factor(l: int, n: int) -> int:

@@ -281,19 +281,32 @@ def _generators(rng) -> tuple[tuple[np.random.Generator, ...], bool]:
     return tuple(rng), False
 
 
+def validate_orthonormal(states) -> np.ndarray:
+    """The states' amplitudes as rows; ValueError unless they are pairwise
+    orthonormal within tolerance, naming the worst pair and its deviation."""
+    states = list(states)
+    if not states:
+        raise ValueError("no states given")
+    dim = states[0].dim
+    if any(s.dim != dim for s in states):
+        raise ValueError("states live on different registers")
+    b = np.stack([s.amplitudes for s in states])
+    dev = np.abs(b.conj() @ b.T - np.eye(len(states)))
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    if not dev[i, j] <= _tolerance():
+        raise ValueError(f"states are not orthonormal: pair ({i}, {j}) "
+                         f"deviates by {dev[i, j]:.3g}")
+    return b
+
+
 @functools.lru_cache(maxsize=64)
 def _basis_matrix(basis: tuple[StateVector, ...], k: int) -> np.ndarray:
     """Basis states as rows, checked once per basis to be a complete
     orthonormal basis of k qubits (states hash by identity, so a hit is the
     very same immutable states)."""
-    if len(basis) != 1 << k:
-        raise ValueError(f"basis has {len(basis)} elements, need {1 << k}")
-    b = np.stack([e.amplitudes for e in basis])
+    b = validate_orthonormal(basis)
     if b.shape != (1 << k, 1 << k):
-        raise ValueError("basis element size does not match target count")
-    gram = b.conj() @ b.T
-    if not np.max(np.abs(gram - np.eye(1 << k))) <= _tolerance():
-        raise ValueError("basis is not orthonormal")
+        raise ValueError(f"need {1 << k} states of {k} qubits, got shape {b.shape}")
     return _frozen(b)
 
 

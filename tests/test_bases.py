@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bcst.bases import (
     GHZ_BASIS_LABELS,
     BellKind,
+    ControllerBasis,
     GhzLabel,
     bell,
     bell_basis,
@@ -162,6 +163,13 @@ def test_validate_orthonormal_flags_failures():
     with pytest.raises(ValueError, match=r"pair \(0, 1\) deviates by 0\.707$"):
         validate_orthonormal([ket("0"), from_amplitudes([1, 1], atol=1)])
     validate_orthonormal([ket("00"), ket("01")])  # a partial set raises nothing
+
+
+def test_controller_basis_needs_a_complete_basis_of_l_qubits():
+    for l, elements in [(2, (ket("00"), ket("01"))), (1, (ket("00"), ket("01")))]:
+        with pytest.raises(ValueError, match=f"^2 elements do not form a complete basis "
+                           f"on {l} qubits$"):
+            ControllerBasis("two", l, elements)
 
 
 def test_complete_basis_keeps_given_states_first():

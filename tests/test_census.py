@@ -1,5 +1,7 @@
 """Counting: closed form, exhaustive oracle, constructive enumerator."""
 import collections
+import contextlib
+import io
 import itertools
 import math
 import sys
@@ -8,9 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from bcst import census
+from bcst import census, cli
 from bcst.census import (
     IntractableError,
     census_report,
@@ -251,9 +253,16 @@ def exact_count(rows, cols, n):
             - cols * math.perm(rows, n))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))
-def test_counters_match_the_references(rows, cols, n):
+# every grid up to 5 x 5 with n <= 5 whose tuple space the references
+# walk in a few milliseconds
+REFERENCE_CASES = [(rows, cols, n) for rows, cols, n in itertools.product(range(2, 6), repeat=3)
+                   if n <= rows * cols and (rows * cols) ** n <= 5 * 10**4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_CASES))
+def test_counters_match_the_references(case):
+    rows, cols, n = case
     expected = exact_count(rows, cols, n)
     assert oracle_count(rows, cols, n) == reference_oracle(rows, cols, n) == expected
     got = list(enumerate_selections(rows, cols, n))
@@ -301,3 +310,98 @@ def test_oracle_memory_stays_chunked():
         tracemalloc.stop()
     assert value == 5765760
     assert peak < 16 * 2**20
+
+
+def test_enumerator_memory_stays_flat():
+    # each first cell holds only the orderings of its own row and column
+    tracemalloc.start()
+    try:
+        value = sum(1 for _ in enumerate_selections(16, 16, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == exact_count(16, 16, 2)
+    assert peak < 2**18
+
+
+# ---- sizes past the interpreter's limit on printing an integer -------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: oracle_count(1 << 7200, 1 << 7200, 2), IntractableError,
+     "(14401-bit number)^2 tuples exceed the exhaustive limit 100000000"),
+    (lambda: next(enumerate_selections(1 << 7200, 1 << 7200, 2)), IntractableError,
+     "(14401-bit number)^2 tuples exceed the exhaustive limit 100000000"),
+    (lambda: oracle_count(2, 2, 10**5000), ValueError,
+     "cannot select (16610-bit number) distinct cells from 4"),
+    (lambda: formula_count(2, 10**5000), ValueError,
+     "cannot select (16610-bit number) distinct cells from 16"),
+    (lambda: formula_count(600, 2**601), ValueError,
+     "a count of over 2^600 bits is past the 4300-digit limit on printing an integer"),
+    (lambda: formula_count(10**200, 10**200), ValueError,
+     "a count of over 2^1328 bits is past the 4300-digit limit on printing an integer"),
+    (lambda: grid_oracle_count(10**5000, 10**5000), IntractableError,
+     "(4^(16610-bit number))^(16610-bit number) tuples exceed the exhaustive limit 100000000"),
+], ids=["oracle-grid", "enumerator-grid", "oracle-n", "formula-n", "formula-wide",
+        "formula-power", "grid-oracle-p-n"])
+def test_a_size_past_the_print_limit_is_named_by_its_bit_length(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# ---- exit-code contract over any integers ----------------------------------------
+
+BIG = 10**999
+INTEGERS = st.integers(-3, 40) | st.sampled_from([
+    -BIG, -(2**64), -7, 0, 63, 64, 65, 100, 600, 7200, 2**31 - 1, 2**32 + 1, 2**63,
+    2**64 + 1, 2**601, 4**600 - 5, 10**12, BIG, BIG + 1,
+])
+
+
+def exhaustive_tuples(rows, cols, n):
+    """The oracle's tuple count when its guard admits it, else None."""
+    if min(rows, cols, n) < 2 or n > rows * cols or (rows * cols).bit_length() * n > 64:
+        return None
+    tuples = (rows * cols) ** n
+    return tuples if tuples <= census.ORACLE_LIMIT else None
+
+
+def affordable(rows, cols, n):
+    """Whether an exhaustive count here, if it is run at all, stays cheap."""
+    tuples = exhaustive_tuples(rows, cols, n)
+    return tuples is None or tuples <= 10**5
+
+
+def grid_side(p):
+    """The side 2^p of the grid; 0 where no grid is drawn or none is tractable."""
+    return 1 << p if 1 <= p <= 64 else 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(INTEGERS, INTEGERS, st.sampled_from([(), ("--formula",), ("--oracle",), ("--both",)]))
+def test_census_cli_exits_with_a_documented_code_and_one_line(p, n, mode):
+    side = grid_side(p)
+    assume(mode == ("--formula",) or affordable(side, side, n))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["census", str(p), str(n), *mode])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INTRACTABLE)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != cli.EXIT_OK)
+    assert all(line.startswith("error: ") and len(line) < 200 for line in lines)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(INTEGERS, INTEGERS, INTEGERS)
+def test_census_api_raises_only_a_short_value_error(a, b, n):
+    side = grid_side(a)
+    assume(affordable(a, b, n) and affordable(side, side, n))
+    calls = [lambda: formula_count(a, n), lambda: oracle_count(a, b, n),
+             lambda: grid_oracle_count(a, n), lambda: next(enumerate_selections(a, b, n)),
+             lambda: census_report(a, n)]
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:  # IntractableError is one
+            assert len(str(exc)) < 200

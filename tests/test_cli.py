@@ -619,10 +619,11 @@ def test_every_failure_exits_with_its_code_and_one_error_line(
 
 def test_a_census_too_large_to_size_exits_1(capsys):
     # the 4^600 cells of this grid are past the double range that sizes the
-    # closed form, so the size check fails as an input error, not a traceback
+    # closed form, so the count is refused from its bit length as an input
+    # error, not a traceback or a float's overflow message
     code, out, err = run_cli(capsys, "census", "600", str(2**600 + 1), "--formula")
-    assert (code, out, err) == (EXIT_INPUT, "", "error: int too large to convert "
-                                "to float\n")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: a count of over 2^600 bits is "
+                                "past the 4300-digit limit on printing an integer\n")
 
 
 def test_simulate_spawns_one_pass_of_seeds_at_a_time(tmp_path, capsys, monkeypatch):

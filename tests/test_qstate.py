@@ -198,6 +198,16 @@ def test_measure_requires_complete_orthonormal_basis():
         measure_in_basis(state, (0,), skewed, rng)
 
 
+def test_measure_names_what_is_wrong_with_a_basis():
+    rng = seeded(0)
+    state = random_state(2, rng)
+    with pytest.raises(ValueError, match=r"^states are not orthonormal: pair \(0, 1\) "
+                       r"deviates by 1$"):
+        measure_in_basis(state, (0,), [ket("0"), ket("0")], rng)
+    with pytest.raises(ValueError, match=r"^need 2 states of 1 qubits, got shape \(2, 4\)$"):
+        measure_in_basis(state, (0,), [ket("00"), ket("01")], rng)
+
+
 def test_measure_is_seed_deterministic():
     state = random_state(3, seeded(5))
     a = measure_in_basis(state, (0, 1), bell_basis().elements, seeded(42))
