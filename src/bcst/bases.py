@@ -156,8 +156,6 @@ def complete_basis(elements) -> tuple[StateVector, ...]:
     n, dim = b.shape
     if n == dim:
         return elements
-    if n > dim:
-        raise ValueError("more states than the space can hold")
     _, _, vh = np.linalg.svd(b.conj(), full_matrices=True)
     nq = elements[0].num_qubits
     return elements + tuple(StateVector(nq, row) for row in vh[n:].conj())
