@@ -35,9 +35,9 @@ EXIT_UNRECOGNIZED = 6
 
 SIMULATE_FIDELITY_FLOOR = 1.0 - 1e-9
 # trials per run_bcst pass: one array of this many rows, and this many seed
-# children, bound the memory of a long run while keeping the per-pass
-# overhead small
-SIMULATE_CHUNK = 32
+# children, bound the memory of a long run (a few MB a pass); below ~256 the
+# fixed cost of a pass outweighs its trials
+SIMULATE_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,8 +144,8 @@ def cmd_simulate(args) -> int:
     if spec.kind != "bcst":
         return _fail(EXIT_WRONG_KIND, "simulate runs bcst specs; this one is qd")
     require_bell_pairs(spec, "bcst")
-    fixed_a = _parse_payload(args.alice_state) if args.alice_state else None
-    fixed_b = _parse_payload(args.bob_state) if args.bob_state else None
+    fixed_a = None if args.alice_state is None else _parse_payload(args.alice_state)
+    fixed_b = None if args.bob_state is None else _parse_payload(args.bob_state)
 
     report = verify_control(spec)
     print(f"control: sides={report.sides} "
@@ -159,7 +159,8 @@ def cmd_simulate(args) -> int:
     seeds = np.random.SeedSequence(args.seed)
     transcripts = []
     for start in range(0, args.trials, SIMULATE_CHUNK):
-        rngs = [np.random.default_rng(c)
+        # what default_rng(c) builds, without its dispatch on the seed's type
+        rngs = [np.random.Generator(np.random.PCG64(c))
                 for c in seeds.spawn(min(SIMULATE_CHUNK, args.trials - start))]
         alice_in = fixed_a if fixed_a is not None else qstate.random_state(1, rngs)
         bob_in = fixed_b if fixed_b is not None else qstate.random_state(1, rngs)
@@ -167,8 +168,8 @@ def cmd_simulate(args) -> int:
     worst = min(min(tr.fidelity_bob, tr.fidelity_alice) for tr in transcripts)
     lines = [
         f"trial {t}: m={tr.charlie_outcome} smo_a={tr.smo_alice.bits} "
-        f"smo_b={tr.smo_bob.bits} corr_b={tr.correction_bob} "
-        f"corr_a={tr.correction_alice} "
+        f"smo_b={tr.smo_bob.bits} corr_b={tr.correction_bob.value} "
+        f"corr_a={tr.correction_alice.value} "
         f"f_ab={tr.fidelity_bob:.15f} f_ba={tr.fidelity_alice:.15f}"
         for t, tr in enumerate(transcripts)
     ]

@@ -44,6 +44,8 @@ _PAULI_MATRICES = {
     PauliOp.IY: np.array([[0.0, 1.0], [-1.0, 0.0]]),
     PauliOp.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
+_PAULIS = tuple(PauliOp)
+_PAULI_STACK = np.stack([op.matrix for op in _PAULIS])
 
 
 class Smo(NamedTuple):
@@ -261,24 +263,29 @@ def run_bcst(
     # afterwards the register is [A1, B1, A2, B2, in_a, in_b]
     m, p_m, pairs = charlie_disclose(spec, rngs)
     full = qstate.tensor(pairs, alice_in, bob_in)
-    cells = [spec.selection[k] for k in m.tolist()]
+    # the shared Bell kinds (1-based in the selection) of each trial's cell
+    kinds = np.array(spec.selection)[m] - 1
+    # CORRECTION_TABLE as positions in _PAULIS, [shared kind, Bell outcome];
+    # read at every pass, so the corrections follow the table as it stands
+    table = np.array([[_PAULIS.index(correction(kind, _SMO_BY_BELL_INDEX[k]))
+                       for k in range(4)] for kind in BellKind])
 
     smo_a, p_a, full = bell_measure(full, 4, 0, rngs)
-    corr_b = [correction(BellKind(i - 1), s) for (i, _), s in zip(cells, smo_a)]
-    full = qstate.apply_unitary(full, np.stack([c.matrix for c in corr_b]), (1,))
+    k_a = [_BELL_INDEX_BY_SMO[s] for s in smo_a]
+    c_b = table[kinds[:, 0], k_a]
+    full = qstate.apply_unitary(full, _PAULI_STACK[c_b], (1,))
 
     smo_b, p_b, full = bell_measure(full, 5, 3, rngs)
-    corr_a = [correction(BellKind(j - 1), s) for (_, j), s in zip(cells, smo_b)]
-    full = qstate.apply_unitary(full, np.stack([c.matrix for c in corr_a]), (2,))
+    k_b = [_BELL_INDEX_BY_SMO[s] for s in smo_b]
+    c_a = table[kinds[:, 1], k_b]
+    full = qstate.apply_unitary(full, _PAULI_STACK[c_a], (2,))
 
     # read-out: strip both measured pairs, leaving [B1, A2], the product of
     # Bob's and Alice's received qubits; projecting one of them onto the
     # payload sent to it leaves the other, with weight = fidelity squared
     bb = bell_basis().elements
-    measured = qstate.tensor(
-        qstate.basis_element(bb, [_BELL_INDEX_BY_SMO[s] for s in smo_a]),
-        qstate.basis_element(bb, [_BELL_INDEX_BY_SMO[s] for s in smo_b]),
-    )
+    measured = qstate.tensor(qstate.basis_element(bb, k_a),
+                             qstate.basis_element(bb, k_b))
     received = qstate.factor_out(full, (4, 0, 5, 3), measured)
     w_ab, alice_received = qstate.split_factor(received, (0,), alice_in)
     w_ba, bob_received = qstate.split_factor(received, (1,), bob_in)
@@ -287,21 +294,12 @@ def run_bcst(
     f_ab = np.minimum(1.0, np.sqrt(w_ab)).tolist()
     f_ba = np.minimum(1.0, np.sqrt(w_ba)).tolist()
 
-    transcripts = tuple(
-        BcstTranscript(
-            charlie_outcome=int(m[t]),
-            smo_alice=smo_a[t],
-            smo_bob=smo_b[t],
-            correction_bob=corr_b[t],
-            correction_alice=corr_a[t],
-            fidelity_bob=f_ab[t],
-            fidelity_alice=f_ba[t],
-            prob_charlie=float(p_m[t]),
-            prob_alice=float(p_a[t]),
-            prob_bob=float(p_b[t]),
-        )
-        for t in range(len(cells))
-    )
+    # one record per trial, its fields in BcstTranscript's order
+    transcripts = tuple(BcstTranscript(*fields) for fields in zip(
+        m.tolist(), smo_a, smo_b,
+        [_PAULIS[c] for c in c_b.tolist()], [_PAULIS[c] for c in c_a.tolist()],
+        f_ab, f_ba, p_m.tolist(), p_a.tolist(), p_b.tolist(),
+    ))
     if single:
         return (StateVector(1, bob_received.amplitudes[0]),
                 StateVector(1, alice_received.amplitudes[0]), transcripts[0])

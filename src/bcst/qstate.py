@@ -142,7 +142,10 @@ def from_amplitudes(amplitudes, *, atol: float | None = None) -> StateVector:
     n = amps.size
     if n < 2 or n & (n - 1):
         raise ValueError(f"amplitude count {n} is not a power of two")
-    norm = float(np.linalg.norm(amps))
+    # finite amplitudes can still square past the double range; the norm is
+    # then inf, which the check below rejects without numpy's warning
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
     if atol is not None:
         if not abs(norm - 1.0) <= atol:
             raise ValueError(f"norm {norm} further than {atol} from 1")
@@ -403,8 +406,10 @@ def random_state(num_qubits: int, rng) -> StateVector:
     one row drawn from each."""
     d = 1 << num_qubits
     rngs, single = _generators(rng)
-    rows = []
-    for g in rngs:
-        v = g.standard_normal(d) + 1j * g.standard_normal(d)
-        rows.append(v / np.linalg.norm(v))
-    return StateVector(num_qubits, rows[0] if single else np.stack(rows))
+    # one draw of 2d per generator is its two draws of d, real parts first
+    x = np.stack([g.standard_normal(2 * d) for g in rngs])
+    v = x[:, :d] + 1j * x[:, d:]
+    # np.linalg.norm's own sum for a complex vector, row by row; an einsum
+    # rounds differently and would move the Haar draws in the last bit
+    v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    return StateVector(num_qubits, v[0] if single else v)

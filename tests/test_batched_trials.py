@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcst import protocol, qstate
+from bcst import cli, protocol, qstate
 from bcst.bases import BellKind, bell_basis, controller_basis
 from bcst.catalog import catalog_entries, entry
 from bcst.cli import SIMULATE_CHUNK, main
@@ -155,6 +155,35 @@ def test_transcripts_keep_the_born_probabilities(entry_id):
             tr.prob_charlie, tr.prob_alice, tr.prob_bob)
 
 
+# ---- seeded draws, as they were drawn before batching -------------------------
+
+def reference_random_state(num_qubits, rng):
+    """One Haar row: two draws of d and np.linalg.norm."""
+    d = 1 << num_qubits
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_random_state_draws_the_reference_rows_bit_for_bit(num_qubits):
+    children = np.random.SeedSequence(num_qubits).spawn(2000)
+    batch = random_state(num_qubits, [np.random.default_rng(c) for c in children])
+    want = np.stack([reference_random_state(num_qubits, np.random.default_rng(c))
+                     for c in children])
+    assert np.array_equal(batch.amplitudes, want)
+    for c, row in zip(children, want):
+        assert np.array_equal(random_state(num_qubits, np.random.default_rng(c)).amplitudes,
+                              row)
+
+
+def test_pcg64_generator_draws_the_default_rng_stream():
+    for c in np.random.SeedSequence(3).spawn(500):
+        built, default = np.random.Generator(np.random.PCG64(c)), np.random.default_rng(c)
+        assert built.bit_generator.state == default.bit_generator.state
+        assert np.array_equal(built.standard_normal(8), default.standard_normal(8))
+        assert built.random() == default.random()
+
+
 # ---- measurement bases ------------------------------------------------------
 
 def test_measure_in_basis_checks_each_basis_once():
@@ -197,10 +226,21 @@ def trial_lines(capsys, spec_file, *extra):
 
 
 def test_chunk_size_is_the_documented_constant():
-    assert SIMULATE_CHUNK == 32
+    assert SIMULATE_CHUNK == 256
 
 
-def test_simulate_trials_do_not_depend_on_the_run_length(tmp_path, capsys):
+def test_simulate_lines_do_not_move_at_the_pass_boundary(tmp_path, capsys):
+    spec_file = tmp_path / "seven.json"
+    spec_file.write_text(serialize_spec(entry("seven").spec))
+    runs = [trial_lines(capsys, spec_file, "--trials", str(t))
+            for t in (255, 256, 257, 600)]
+    assert [len(r) for r in runs] == [255, 256, 257, 600]
+    for shorter, longer in zip(runs, runs[1:]):
+        assert longer[:len(shorter)] == shorter
+
+
+def test_simulate_trials_do_not_depend_on_the_run_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SIMULATE_CHUNK", 32)
     spec_file = tmp_path / "seven.json"
     spec_file.write_text(serialize_spec(entry("seven").spec))
     short = trial_lines(capsys, spec_file, "--trials", "25")
@@ -212,7 +252,9 @@ def test_simulate_trials_do_not_depend_on_the_run_length(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry_id", ["six4b", "seven"])
-def test_simulate_lines_match_the_reference_across_chunks(tmp_path, capsys, entry_id):
+def test_simulate_lines_match_the_reference_across_chunks(
+        tmp_path, capsys, monkeypatch, entry_id):
+    monkeypatch.setattr(cli, "SIMULATE_CHUNK", 32)  # rows 32..64 in later passes
     spec = entry(entry_id).spec
     spec_file = tmp_path / f"{entry_id}.json"
     spec_file.write_text(serialize_spec(spec))
@@ -250,14 +292,14 @@ def test_wrong_corrections_fail_the_run_with_one_line(
 
 
 def test_simulate_memory_stays_chunked(tmp_path, capsys):
-    # 300 seven-channel trials in one array peak at ~18 MB of numpy
-    # allocations; in passes of 32 they peak at ~2 MB
+    # 1000 seven-channel trials in one array peak at ~10 MB of numpy
+    # allocations; in passes of 256 they peak at ~2.7 MB
     spec_file = tmp_path / "seven.json"
     spec_file.write_text(serialize_spec(entry("seven").spec))
     assert main(["simulate", str(spec_file), "--trials", "3"]) == 0  # warm caches
     tracemalloc.start()
     try:
-        code = main(["simulate", str(spec_file), "--trials", "300"])
+        code = main(["simulate", str(spec_file), "--trials", "1000"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

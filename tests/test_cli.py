@@ -1,4 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bcst import qstate
+from bcst import cli, qstate
 from bcst.cli import (
     EXIT_CONTROL,
     EXIT_INPUT,
@@ -18,7 +21,6 @@ from bcst.cli import (
     EXIT_RULE,
     EXIT_UNRECOGNIZED,
     EXIT_WRONG_KIND,
-    SIMULATE_CHUNK,
     main,
 )
 from bcst.catalog import catalog_entries, entry, reconstruct
@@ -454,6 +456,22 @@ def test_recognize_nan_row_is_unreadable_input(tmp_path, capsys):
     assert err.startswith("error: norm nan")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "zha5.json", "--alice-state", "1e308,1e308,1e308,1e308"),
+    ("recognize", "big.amps"),
+], ids=["simulate", "recognize"])
+def test_amplitudes_whose_norm_overflows_fail_with_one_line(tmp_path, capsys, argv):
+    # every amplitude is finite, but the squared norm is past the double range
+    (tmp_path / "zha5.json").write_text(serialize_spec(entry("zha5").spec))
+    (tmp_path / "big.amps").write_text("0 1e308 1e308\n1 1e308 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], str(tmp_path / argv[1]), *argv[2:])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: norm inf further than 1e-09 from 1\n"
+
+
 def test_recognize_wrong_layout(tmp_path, capsys):
     amp_file = tmp_path / "zha5.txt"
     write_amplitude_file(amp_file, reconstruct(entry("zha5")))
@@ -581,6 +599,8 @@ FAILURES = [
     (("simulate", "zha5.json", "--alice-state", "1,2"), EXIT_INPUT, "re,im,re,im"),
     (("simulate", "zha5.json", "--alice-state", "a,b,c,d"), EXIT_INPUT,
      "could not convert"),
+    (("simulate", "zha5.json", "--bob-state", ""), EXIT_INPUT,
+     "error: could not convert string to float: ''\n"),
     (("simulate", "li5.json", "--trials", "2", "--require-both-controlled"),
      EXIT_CONTROL, "first-only"),
     (("catalog", "--export", "nope"), EXIT_INPUT, "error: no catalog entry 'nope'\n"),
@@ -637,10 +657,79 @@ def test_simulate_spawns_one_pass_of_seeds_at_a_time(tmp_path, capsys, monkeypat
             return spawned
 
     monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(cli, "SIMULATE_CHUNK", 32)
     spec_file = tmp_path / "seven.json"
     spec_file.write_text(serialize_spec(entry("seven").spec))
     code, _, _ = run_cli(capsys, "simulate", str(spec_file), "--trials", "70")
     assert code == EXIT_OK
-    assert max(asked) <= SIMULATE_CHUNK and sum(asked) == 70
+    assert asked == [32, 32, 6]
     # the same children, in the same order, as one up-front spawn of 70
     assert [c.spawn_key for c in children] == [(t,) for t in range(70)]
+
+
+# ---- exit-code contract: simulate over any arguments ---------------------------
+
+FIELDS = st.sampled_from(["0", "1", "-1", "0.6", "0.8", "1e-320", "1e200", "1e308",
+                          "-1e308", "1e400", "nan", "inf", "-inf", "", " ", "x"])
+GOOD_PAYLOADS = st.none() | st.sampled_from(["1,0,0,0", "0.6,0,0,0.8", "0,0,1,0"])
+# each option's well-formed values, then malformed or out-of-range ones (a
+# random list of fields can still be a valid payload); no valid count past
+# 64, since a huge one would run until memory runs out
+SIMULATE_OPTIONS = {
+    "seed": (st.integers(0, 3).map(str) | st.sampled_from([str(2**64 + 1), str(10**400)]),
+             st.sampled_from(["-1", str(-(2**64)), "1" + "0" * 5000, "", "1.5"])),
+    "trials": (st.integers(1, 64).map(str),
+               st.integers(-2, 0).map(str) | st.sampled_from([
+                   str(-(2**64)), str(sys.maxsize + 1), str(2**64), str(10**20),
+                   str(10**400), "1" + "0" * 5000, "", "1.5", "x"])),
+    "alice-state": (GOOD_PAYLOADS, st.sampled_from([
+        "1e308,1e308,1e308,1e308", "1e200,0,1e200,0", "nan,0,0,0", "inf,0,0,0",
+        "1e-320,0,0,0", "0,0,0,0", "", ",,,", "1,0,0", "1,0,0,0,0"])
+        | st.lists(FIELDS, min_size=4, max_size=4).map(",".join)
+        | st.lists(FIELDS, max_size=6).map(",".join)),
+}
+SIMULATE_OPTIONS["bob-state"] = SIMULATE_OPTIONS["alice-state"]
+
+
+@st.composite
+def simulate_options(draw):
+    """--name=value for each option: all well-formed, or one of them not."""
+    bad = draw(st.sampled_from([None, *SIMULATE_OPTIONS]))
+    argv = []
+    for name, (good, refused) in SIMULATE_OPTIONS.items():
+        value = draw(refused if name == bad else good)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def simulate_specs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("specs")
+    for eid in ("zha5", "li5"):
+        (folder / f"{eid}.json").write_text(serialize_spec(entry(eid).spec))
+    (folder / "qd.json").write_text(json.dumps(
+        {"version": 1, "kind": "qd", "pair_basis": "bell", "selection": [1, 2],
+         "phases": [1, 1], "controller": {"family": "computational", "l": 1}}))
+    return folder
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["zha5.json", "li5.json", "qd.json", "nope.json"]),
+       simulate_options(), st.booleans())
+def test_simulate_exits_with_a_documented_code_and_one_line(
+        simulate_specs, spec, options, require):
+    argv = ["simulate", str(simulate_specs / spec), *options]
+    argv += ["--require-both-controlled"] if require else []
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a numpy warning is a second stderr line
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in range(7)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != EXIT_OK)
+    assert all(line.startswith("error: ") for line in lines)
