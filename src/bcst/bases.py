@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .qstate import StateVector, tensor, validate_orthonormal
+from .qstate import StateVector, clip, tensor, validate_orthonormal
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # one qubit's eigenstates per axis, indexed by bit: |0>, |1> and |+>, |->
@@ -116,7 +116,7 @@ def product_axis_basis(axes: str) -> ControllerBasis:
     qubit choices (bit 0 selects |0> or |+>), and built by one batched tensor
     product whose factor q holds qubit q's state in element k as row k."""
     if not axes or any(a not in "zx" for a in axes):
-        raise ValueError(f"axes must be a string over 'z'/'x', got {axes!r}")
+        raise ValueError(f"axes must be a string over 'z'/'x', got {clip(axes)}")
     l = len(axes)
     bits = (np.arange(1 << l)[:, None] >> np.arange(l - 1, -1, -1)) & 1
     factors = [StateVector(1, _AXIS_STATES[a][bits[:, q]]) for q, a in enumerate(axes)]
@@ -141,9 +141,9 @@ def controller_basis(name: str, l: int) -> ControllerBasis:
     if name.startswith("axes:"):
         axes = name[len("axes:"):]
         if len(axes) != l:
-            raise ValueError(f"axes {axes!r} do not cover {l} qubits")
+            raise ValueError(f"axes {clip(axes)} do not cover {l} qubits")
         return product_axis_basis(axes)
-    raise ValueError(f"unknown controller basis family {name!r}")
+    raise ValueError(f"unknown controller basis family {clip(name)}")
 
 
 def complete_basis(elements) -> tuple[StateVector, ...]:

@@ -119,7 +119,7 @@ def entry(entry_id: str) -> CatalogEntry:
     for e in catalog_entries():
         if e.id == entry_id:
             return e
-    raise UnknownEntryError(f"no catalog entry {entry_id!r}")
+    raise UnknownEntryError(f"no catalog entry {qstate.clip(entry_id)}")
 
 
 def reconstruct(e: CatalogEntry) -> StateVector:

@@ -130,8 +130,8 @@ class QubitLayout:
         """The layout of these roles, which must be a permutation of ours."""
         roles = tuple(roles)
         if sorted(roles) != sorted(self.roles):
-            raise ValueError(f"{','.join(roles)} is not a permutation "
-                             f"of {','.join(self.roles)}")
+            raise ValueError(f"{qstate.clip(','.join(roles), quote=False)} is not a "
+                             f"permutation of {','.join(self.roles)}")
         return QubitLayout(roles)
 
 

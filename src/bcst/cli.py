@@ -187,8 +187,7 @@ def cmd_catalog(args) -> int:
     if args.export:
         text = specdoc.serialize_spec(catalog.entry(args.export).spec)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            specdoc.write_text_file(args.out, text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
@@ -223,8 +222,9 @@ def cmd_recognize(args) -> int:
             return _fail(EXIT_INPUT, f"--layout {exc}")
     candidates = None
     if args.candidates:
-        candidates = [controller_basis(name.strip(), l)
-                      for name in args.candidates.split(",")]
+        # each family once: a repeated name would rebuild its basis (2^l states)
+        names = dict.fromkeys(name.strip() for name in args.candidates.split(","))
+        candidates = [controller_basis(name, l) for name in names]
 
     spec = catalog.recognize(state, layout, candidates, pb)
     if spec is None:

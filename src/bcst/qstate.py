@@ -26,6 +26,16 @@ import numpy as np
 MAX_QUBITS = 12
 
 
+def clip(text: str, *, quote: bool = True) -> str:
+    """repr(text), or text itself unless `quote`, cut after 40 characters of
+    text with its length noted, so that an error quoting user input stays
+    one short line."""
+    shown = repr(text) if quote else text
+    if len(shown) <= 40 + 2 * quote:
+        return shown
+    return f"{shown[:40 + quote]}... ({len(text)} characters)"
+
+
 @functools.cache
 def _tolerance() -> float:
     """BCST_TOLERANCE (default 1e-12); ValueError unless finite and positive."""

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 import contextlib
+import errno
 import io
 import json
 import os
@@ -733,3 +734,183 @@ def test_simulate_exits_with_a_documented_code_and_one_line(
     lines = err.getvalue().splitlines()
     assert len(lines) == (code != EXIT_OK)
     assert all(line.startswith("error: ") for line in lines)
+
+
+# ---- output files are written in place ----------------------------------------
+
+def test_build_and_export_never_open_with_truncation(tmp_path, capsys, monkeypatch):
+    opened, real_open = [], os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    spec_file, amps, doc = tmp_path / "seven.json", tmp_path / "x.amps", tmp_path / "doc.json"
+    for _ in range(2):  # the second round overwrites what the first wrote
+        assert run_cli(capsys, "catalog", "--export", "seven", "--out", str(spec_file))[0] == 0
+        assert run_cli(capsys, "build", str(spec_file), str(amps))[0] == 0
+        assert run_cli(capsys, "catalog", "--export", "zha5", "--out", str(doc))[0] == 0
+    # the outputs go through os.open, so a return to open("w") fails here too
+    assert {path for path, _ in opened} >= {str(spec_file), str(amps), str(doc)}
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+    assert doc.read_text() == serialize_spec(entry("zha5").spec)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_export_to_dev_null(capsys):
+    assert run_cli(capsys, "catalog", "--export", "seven", "--out", "/dev/null") == (
+        EXIT_OK, "", "")
+
+
+def test_a_failed_write_leaves_no_old_byte_past_the_new_prefix(tmp_path, capsys, monkeypatch):
+    spec_file, out_file = tmp_path / "seven.json", tmp_path / "x.amps"
+    spec_file.write_text(serialize_spec(entry("seven").spec))
+    out_file.write_text("old\n" * 10_000)
+    calls, real_write = [], os.write
+
+    def half_then_full_disk(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(os, "write", half_then_full_disk)
+    code, out, err = run_cli(capsys, "build", str(spec_file), str(out_file))
+    monkeypatch.undo()
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+    written = out_file.read_bytes()
+    write_amplitude_file(tmp_path / "whole.amps", reconstruct(entry("seven")))
+    assert len(written) == calls[0] // 2
+    assert (tmp_path / "whole.amps").read_bytes().startswith(written)
+
+
+# ---- exit-code contract: recognize and the output paths ------------------------
+
+ROW_FIELDS = st.sampled_from(["0", "1", "-1", "0.5", "1e-320", "1e308", "-1e308", "1e400",
+                              "nan", "inf", "-inf", "x", "", "9" * 5000])
+ROW_INDICES = st.sampled_from(["-1", "0", "1", "3", "4", "1.0", "x", str(2**64),
+                               str(-(2**64)), str(10**400), "1" + "0" * 5000])
+BAD_ROWS = st.sampled_from(["0", "0 1", "0 1 0 0", "0,1,0", "#", "\x00 1 0", "1" * 5000])
+ROW_EDITS = st.tuples(
+    st.sampled_from(["index", "re", "im", "row", "duplicate", "twice", "delete", "append"]),
+    st.integers(0, 4095), ROW_INDICES, ROW_FIELDS, BAD_ROWS)
+
+
+@st.composite
+def amplitude_file_bytes(draw):
+    """An amplitude file of a state, with a few of its rows or bytes broken."""
+    source = draw(st.sampled_from(["haar", "zha5", "seven"]))
+    if source == "haar":
+        qubits = draw(st.integers(1, 12))
+        state = random_state(qubits, np.random.default_rng(draw(st.integers(0, 3))))
+    else:
+        state = reconstruct(entry(source))
+    rows = [f"{k} {a.real:.17g} {a.imag:.17g}" for k, a in enumerate(state.amplitudes)]
+    edits = draw(st.just([]) | st.lists(ROW_EDITS, min_size=1, max_size=3))
+    for what, at, index, field, bad in edits:
+        at %= max(len(rows), 1)
+        if not rows or what == "append":
+            rows.append(f"{index} {field} 0")
+        elif what in ("index", "re", "im"):
+            parts = rows[at].split()
+            parts += ["0"] * (3 - len(parts))
+            parts[("index", "re", "im").index(what)] = index if what == "index" else field
+            rows[at] = " ".join(parts)
+        elif what == "row":
+            rows[at] = bad
+        elif what == "duplicate":
+            rows.append(rows[at])
+        elif what == "twice":
+            rows += [f"{index} 0 0"] * 2
+        else:
+            del rows[at]
+    data = ("\n".join(rows) + "\n").encode()
+    spoil = draw(st.none() | st.sampled_from([b"\xff", b"\xc3", b"\xef\xbb\xbf"]))
+    if spoil is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + spoil + data[at:]
+    return data
+
+
+BAD_LAYOUTS = st.sampled_from(["A1,A1,B1,B2,C1", "A1", ",", " , ", "\x00", "C1,C2,A1,B1,A2",
+                               "A1," * 3000, "X" * 5000, "C" + "1" * 5000])
+CANDIDATES = st.sampled_from([
+    "computational", "hadamard-product", "ghz", "axes:zx", "axes:zxz", "computational,ghz",
+    "bogus", ",", "axes:", "axes:q", "axes:" + "z" * 5000, "computational," * 2000,
+    "x" * 5000])
+PAIR_BASES = st.sampled_from(["--pair-basis=bell", "--pair-basis=ghz"])
+# well-formed amplitude files in contract_folder, by qubit count
+CLEAN_FILES = {"zha5.amps": 5, "seven.amps": 7, "haar6.amps": 6, "haar12.amps": 12}
+
+
+@pytest.fixture(scope="module")
+def contract_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("contract")
+    (folder / "seven.json").write_text(serialize_spec(entry("seven").spec))
+    for name in ("zha5", "seven"):
+        write_amplitude_file(folder / f"{name}.amps", reconstruct(entry(name)))
+    for n in (6, 12):
+        write_amplitude_file(folder / f"haar{n}.amps", random_state(n, np.random.default_rng(n)))
+    return folder
+
+
+def assert_exit_contract(argv):
+    """Run argv: a documented code, one short `error:` line exactly on failure,
+    no exception and no numpy warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a numpy warning is a second stderr line
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in range(7)
+    lines = err.getvalue().splitlines()
+    # exit 6 is recognize's verdict, printed on stdout, not an error
+    assert len(lines) == (code not in (EXIT_OK, EXIT_UNRECOGNIZED))
+    assert code != EXIT_UNRECOGNIZED or out.getvalue() == "NOT-RECOGNIZED\n"
+    assert all(line.startswith("error: ") and len(line) <= 200 for line in lines)
+    return code
+
+
+@settings(max_examples=500, deadline=2000, derandomize=True)  # ms per example
+@given(amplitude_file_bytes(), st.lists(PAIR_BASES, max_size=1))
+def test_recognize_reads_any_amplitude_file_with_a_documented_code_and_one_line(
+        contract_folder, data, options):
+    # a new file each time: rewriting one with truncation would wait on the
+    # old file's writeback, and the test would time the disk
+    path = contract_folder / "drawn.amps"
+    path.write_bytes(data)
+    try:
+        assert_exit_contract(["recognize", str(path), *options])
+    finally:
+        path.unlink()
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)  # ms per example
+@given(st.data())
+def test_recognize_options_exit_with_a_documented_code_and_one_line(contract_folder, data):
+    name, qubits = data.draw(st.sampled_from(sorted(CLEAN_FILES.items())))
+    roles = ["A1", "B1", "A2", "B2"] + [f"C{c}" for c in range(1, qubits - 3)]
+    layout = data.draw(st.none() | st.permutations(roles).map(",".join) | BAD_LAYOUTS)
+    candidates = data.draw(st.none() | CANDIDATES)
+    argv = ["recognize", str(contract_folder / name)]
+    argv += data.draw(st.lists(PAIR_BASES, max_size=1))
+    argv += [] if layout is None else [f"--layout={layout}"]
+    argv += [] if candidates is None else [f"--candidates={candidates}"]
+    assert_exit_contract(argv)
+
+
+@pytest.mark.parametrize("target", ["missing/x.out", ".", "x.out"])
+@pytest.mark.parametrize("command", ["build", "seven", "zha5", "bogus", "x" * 5000],
+                         ids=["build", "seven", "zha5", "bogus", "long-id"])
+def test_output_paths_exit_with_a_documented_code_and_one_line(
+        contract_folder, command, target):
+    path = str(contract_folder / target)
+    argv = (["build", str(contract_folder / "seven.json"), path] if command == "build"
+            else ["catalog", "--export", command, "--out", path])
+    writes = target == "x.out" and command in ("build", "seven", "zha5")
+    assert assert_exit_contract(argv) == (EXIT_OK if writes else EXIT_INPUT)

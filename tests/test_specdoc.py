@@ -6,7 +6,7 @@ import pytest
 
 from bcst import bases, specdoc
 from bcst.bases import controller_basis, custom_controller_basis
-from bcst.catalog import catalog_entries, entry
+from bcst.catalog import catalog_entries, entry, reconstruct
 from bcst.channel import bcst_spec, build_bcst_channel, build_bcst_channel_unchecked, qd_spec
 from bcst.qstate import fidelity_up_to_phase, ket, random_state
 from bcst.specdoc import (
@@ -17,6 +17,7 @@ from bcst.specdoc import (
     sqrt2_decode,
     sqrt2_encode,
     write_amplitude_file,
+    write_text_file,
 )
 
 
@@ -340,3 +341,58 @@ def test_amplitude_file_rejects_malformed_rows(tmp_path):
     path.write_text("0 1.0\n")
     with pytest.raises(SpecDocumentError):
         read_amplitude_file(path)
+
+
+def test_a_long_row_is_quoted_clipped_with_its_length_and_line(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("0 1 0\n" + "1" * 5000 + " 0 0\n")
+    with pytest.raises(SpecDocumentError) as err:
+        read_amplitude_file(path)
+    assert str(err.value) == f"unreadable row '{'1' * 40}... (5004 characters) (line 2)"
+    path.write_text("0 1.0\n")
+    with pytest.raises(SpecDocumentError) as err:
+        read_amplitude_file(path)
+    assert str(err.value) == "expected 'index re im', got '0 1.0' (line 1)"
+    path.write_text("0 1 0\n" + f"{10**400} 0 0\n" * 2)
+    with pytest.raises(SpecDocumentError) as err:
+        read_amplitude_file(path)
+    assert str(err.value) == f"duplicate index 1{'0' * 39}... (401 characters) (line 3)"
+
+
+# ---- writing in place ----------------------------------------------------------
+
+def _truncating_write(path, state):
+    """The writer as it was before it wrote in place: open("w") and row by row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# qubits: {state.num_qubits}\n")
+        for k, a in enumerate(state.amplitudes):
+            fh.write(f"{k} {a.real:.17g} {a.imag:.17g}\n")
+
+
+def test_the_in_place_writer_writes_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(28)
+    states = [reconstruct(e) for e in catalog_entries()]
+    states += [random_state(n, rng) for n in range(1, 13)]
+    for i, state in enumerate(states):  # new files: a truncating rewrite waits on the disk
+        new, old = tmp_path / f"new{i}.amps", tmp_path / f"old{i}.amps"
+        write_amplitude_file(new, state)
+        _truncating_write(old, state)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_overwriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "x.amps"
+    write_amplitude_file(path, random_state(6, np.random.default_rng(1)))
+    write_amplitude_file(path, ket("01"))
+    assert path.read_text() == "# qubits: 2\n0 0 0\n1 1 0\n2 0 0\n3 0 0\n"
+    write_text_file(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_writing_through_a_symlink_updates_the_target_and_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old text, longer than the new\n")
+    link.symlink_to(target)
+    write_text_file(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
